@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .dynsys import FinSystem, PeriodicPartition
 from .errors import DomainError, ParseError
-from .supernatural import Supernatural, phi_of_set
+from .supernatural import Supernatural, phi0
 
 
 @dataclass(frozen=True)
@@ -75,26 +75,38 @@ def _same_base(x: AdicInt, y: AdicInt):
         raise DomainError("operands have different bases")
 
 
+def _trusted(base: BaseSequence, residues: tuple) -> AdicInt:
+    """An AdicInt whose residues are coherent by construction (images of an
+    integer, or componentwise sums and negatives of coherent vectors); the
+    checks of AdicInt(...) are for vectors from outside the package."""
+    x = object.__new__(AdicInt)
+    object.__setattr__(x, "base", base)
+    object.__setattr__(x, "residues", residues)
+    return x
+
+
 def from_integer(base: BaseSequence, z: int) -> AdicInt:
     """The image of an ordinary integer: residues z mod n_k."""
-    return AdicInt(base, tuple(z % n for n in base.levels))
+    if not isinstance(z, int):
+        raise DomainError(f"{z!r} is not an integer")
+    return _trusted(base, tuple(z % n for n in base.levels))
 
 
 def add(x: AdicInt, y: AdicInt) -> AdicInt:
     _same_base(x, y)
-    return AdicInt(
+    return _trusted(
         x.base,
         tuple((a + b) % n for a, b, n in zip(x.residues, y.residues, x.base.levels)),
     )
 
 
 def neg(x: AdicInt) -> AdicInt:
-    return AdicInt(x.base, tuple(-a % n for a, n in zip(x.residues, x.base.levels)))
+    return _trusted(x.base, tuple(-a % n for a, n in zip(x.residues, x.base.levels)))
 
 
 def translate(x: AdicInt) -> AdicInt:
     """The odometer step: add the all-ones element."""
-    return add(x, from_integer(x.base, 1))
+    return _trusted(x.base, tuple((a + 1) % n for a, n in zip(x.residues, x.base.levels)))
 
 
 class Distance(NamedTuple):
@@ -166,8 +178,9 @@ def level_partition(base: BaseSequence, k: int) -> PeriodicPartition:
 
 
 def ess_of_odometer(base: BaseSequence) -> Supernatural:
-    """The joint factorization of the levels (phi0 of n_K on a chain)."""
-    return phi_of_set(base.levels)
+    """The joint factorization of the levels: the levels form a divisibility
+    chain, so their join is phi0 of the top level n_K."""
+    return phi0(base.levels[-1])
 
 
 def parse_base(text: str) -> BaseSequence:

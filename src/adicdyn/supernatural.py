@@ -12,6 +12,8 @@ exponents are not representable and are rejected by construction.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError, ParseError
@@ -54,30 +56,51 @@ INF = _Infinity()
 Exp = "int | _Infinity"  # documentation alias; exponents are ints or INF
 
 
+# Miller-Rabin with the first 13 prime bases is exact below psi_13
+# (Sorenson & Webster, Math. Comp. 86, 2017); past it no base set is known
+# to be enough, so primality is refused rather than guessed.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality for n below PRIMALITY_LIMIT; DomainError above it."""
     if not isinstance(n, int) or n < 2:
         return False
-    if n < 4:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:  # a composite below 43^2 has a prime factor <= 41
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= PRIMALITY_LIMIT:
+        raise DomainError(f"cannot decide whether {n} is prime: at or above {PRIMALITY_LIMIT}")
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
-
-
-def _same_exp(a, b) -> bool:
-    # INF compares equal only to itself; ints compare numerically
-    if a is INF or b is INF:
-        return a is b
-    return a == b
 
 
 def _valid_exp(e) -> bool:
     return e is INF or (isinstance(e, int) and e >= 0)
+
+
+def _canonical(table: dict, default) -> tuple:
+    """The exps of a valid prime -> exponent table: primes ascending,
+    entries equal to the default dropped (0 is the only falsy exponent)."""
+    if default is INF:
+        return tuple(sorted([(p, e) for p, e in table.items() if e is not INF]))
+    return tuple(sorted([(p, e) for p, e in table.items() if e]))
 
 
 @dataclass(frozen=True)
@@ -106,10 +129,7 @@ class Supernatural:
             if p in seen:
                 raise DomainError(f"prime {p} listed twice")
             seen[p] = e
-        canon = tuple(
-            (p, e) for p, e in sorted(seen.items()) if not _same_exp(e, self.default)
-        )
-        object.__setattr__(self, "exps", canon)
+        object.__setattr__(self, "exps", _canonical(seen, self.default))
 
     def exponent(self, p: int):
         """The exponent of the prime p (the default if p is not listed)."""
@@ -122,57 +142,133 @@ class Supernatural:
         return format_supernatural(self)
 
 
+def _trusted(table: dict, default) -> Supernatural:
+    """A Supernatural built from valid operands, so its table already holds
+    primes with exponents that are ints >= 0 or INF, and default is 0 or
+    INF.  It is only canonicalized: the checks of Supernatural(...) are for
+    values from outside the package."""
+    value = object.__new__(Supernatural)
+    object.__setattr__(value, "exps", _canonical(table, default))
+    object.__setattr__(value, "default", default)
+    return value
+
+
 E = Supernatural()
 TOP = Supernatural(default=INF)
 
+# phi0 trial-divides by every candidate below this bound, which factors any
+# n below its square outright; a cofactor left over has no prime factor
+# below the bound and is certified and split by _is_prime and _rho.
+_TRIAL_LIMIT = 1 << 14
+
 
 def phi0(n: int) -> Supernatural:
-    """Embed a positive integer by its prime factorization."""
+    """Embed a positive integer by its prime factorization.
+
+    Exact whenever what is left of n after dividing out its prime factors
+    below 2^14 is below PRIMALITY_LIMIT, so for every n below that limit;
+    DomainError otherwise.
+    """
     if not isinstance(n, int) or n < 1:
         raise DomainError("phi0 expects a positive integer")
-    exps = []
+    table = {}
     m = n
     p = 2
     while p * p <= m:
+        if p >= _TRIAL_LIMIT:
+            _factor_large(m, table)
+            return _trusted(table, 0)
         if m % p == 0:
             k = 0
             while m % p == 0:
                 m //= p
                 k += 1
-            exps.append((p, k))
+            table[p] = k
         p += 1 if p == 2 else 2
     if m > 1:
-        exps.append((m, 1))
-    return Supernatural(tuple(exps), 0)
+        table[m] = 1
+    return _trusted(table, 0)
 
 
-def _union_primes(M: Supernatural, N: Supernatural):
-    return sorted({p for p, _ in M.exps} | {p for p, _ in N.exps})
+def _factor_large(m: int, table: dict) -> None:
+    """Add the factorization of m, which has no prime factor below
+    _TRIAL_LIMIT, to table."""
+    pending = [m]
+    while pending:
+        m = pending.pop()
+        if _is_prime(m):
+            table[m] = table.get(m, 0) + 1
+        else:
+            d = _rho(m)
+            pending += (d, m // d)
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the odd composite n: Brent's variant of Pollard's
+    rho, with x -> x^2 + c for c = 1, 2, ... and gcds batched 128 steps."""
+    for c in range(1, 100):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+    raise DomainError(f"could not split {n}")
+
+
+def _combine(op, M: Supernatural, N: Supernatural) -> Supernatural:
+    """op applied prime by prime to the exponents of M and N."""
+    dm, dn = M.default, N.default
+    rest = dict(N.exps)
+    table = {p: op(e, rest.pop(p, dn)) for p, e in M.exps}
+    for p, e in rest.items():
+        table[p] = op(dm, e)
+    return _trusted(table, op(dm, dn))
 
 
 def mul(M: Supernatural, N: Supernatural) -> Supernatural:
     """Exponentwise sum; infinity absorbs."""
-    exps = tuple((p, M.exponent(p) + N.exponent(p)) for p in _union_primes(M, N))
-    return Supernatural(exps, M.default + N.default)
+    return _combine(operator.add, M, N)
 
 
 def leq(M: Supernatural, N: Supernatural) -> bool:
     """True iff every exponent of M is at most the one in N."""
-    if not M.default <= N.default:
+    dm, dn = M.default, N.default
+    if not dm <= dn:
         return False
-    return all(M.exponent(p) <= N.exponent(p) for p in _union_primes(M, N))
+    rest = dict(N.exps)
+    for p, e in M.exps:
+        if not e <= rest.pop(p, dn):
+            return False
+    # left in rest: primes listed in N alone, where M has its default; a
+    # default of 0 is below them all, and (both defaults being inf) an inf
+    # default is above N's listed, finite, exponents
+    return dm == 0 or not rest
 
 
 def gcd(M: Supernatural, N: Supernatural) -> Supernatural:
     """Componentwise minimum of exponents (the lattice meet)."""
-    exps = tuple((p, min(M.exponent(p), N.exponent(p))) for p in _union_primes(M, N))
-    return Supernatural(exps, min(M.default, N.default))
+    return _combine(min, M, N)
 
 
 def lcm(M: Supernatural, N: Supernatural) -> Supernatural:
     """Componentwise maximum of exponents (the lattice join)."""
-    exps = tuple((p, max(M.exponent(p), N.exponent(p))) for p in _union_primes(M, N))
-    return Supernatural(exps, max(M.default, N.default))
+    return _combine(max, M, N)
 
 
 def phi_of_set(values) -> Supernatural:
@@ -235,14 +331,16 @@ def extract_regular_sequence(R: Supernatural, depth: int) -> RegularSeq:
         raise DomainError("depth must be a positive integer")
     if R.default is INF:
         raise DomainError("cannot extract a chain from a value with default inf")
-    support = [p for p, _ in R.exps]  # canonical form: every listed exponent > 0
+    support = R.exps  # canonical form: every listed exponent > 0
     terms = []
     for k in range(1, depth + 1):
         b = 1
-        for p in support[:k]:
-            b *= p ** min(R.exponent(p), k)
+        for p, e in support[:k]:
+            b *= p ** min(e, k)
         terms.append(b)
-    return RegularSeq(tuple(terms))
+    seq = object.__new__(RegularSeq)  # a divisibility chain by construction
+    object.__setattr__(seq, "terms", tuple(terms))
+    return seq
 
 
 def seq_dominates(a: RegularSeq, b: RegularSeq) -> bool:

@@ -194,3 +194,24 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "2^2*3\n"
+
+
+def test_large_numbers_answer_in_bounded_time():
+    # each of these ran trial division past any practical time limit
+    big = str(1125899906842679 * 1125899906842723)  # above the primality limit
+    cases = [
+        (["sn", "gcd", "1000000000000000000000007", "2"], 0, "1\n"),
+        (["sn", "phi0", "2305843009213693951"], 0, "2305843009213693951\n"),
+        (["sn", "phi0", str(2147483629 * 2147483647)], 0, "2147483629*2147483647\n"),
+        (["sn", "gcd", big, "2"], 2, ""),
+        (["sn", "phi0", big], 1, ""),
+    ]
+    for argv, code, out in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "adicdyn.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert proc.stdout == out

@@ -44,6 +44,17 @@ BASES = [
 ]
 
 bases = st.sampled_from(BASES).map(BaseSequence)
+
+
+@st.composite
+def chains(draw):
+    """A random divisibility chain of one to four levels."""
+    levels = [draw(st.integers(min_value=1, max_value=12))]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        levels.append(levels[-1] * draw(st.integers(min_value=1, max_value=6)))
+    return BaseSequence(tuple(levels))
+
+
 ints = st.integers(min_value=-10**9, max_value=10**9)
 
 
@@ -124,6 +135,20 @@ def test_coherence_preserved_by_everything(base, p):
     x = from_integer(base, p)
     for y in (x, neg(x), translate(x), add(x, x)):
         AdicInt(base, y.residues)  # re-validates coherence
+
+
+@given(st.one_of(bases, chains()), ints, ints)
+def test_results_are_what_the_public_constructor_builds(base, p, q):
+    x, y = from_integer(base, p), from_integer(base, q)
+    for r in (x, add(x, y), neg(x), translate(x)):
+        assert AdicInt(r.base, r.residues) == r
+    assert translate(x) == from_integer(base, p + 1)
+    assert neg(x) == from_integer(base, -p)
+
+
+def test_from_integer_rejects_non_integers():
+    with pytest.raises(DomainError):
+        from_integer(BaseSequence((2, 4)), 2.0)
 
 
 # ------------------------------------------------------------- metric

@@ -27,6 +27,7 @@ from adicdyn import (
     regular_contains,
     seq_dominates,
 )
+from adicdyn.supernatural import PRIMALITY_LIMIT
 
 import helpers
 
@@ -44,6 +45,46 @@ def supernaturals(draw):
 
 
 naturals = st.integers(min_value=1, max_value=10**6)
+
+
+@st.composite
+def tables(draw):
+    """A raw prime -> exponent table with its default, default=inf included."""
+    ps = draw(st.lists(st.sampled_from(PRIMES), unique=True, max_size=4))
+    return {p: draw(exponents) for p in ps}, draw(st.sampled_from((0, INF)))
+
+
+def _value(table):
+    exps, default = table
+    return Supernatural(tuple(exps.items()), default)
+
+
+def _num(e):
+    return math.inf if e is INF else e
+
+
+def _reference(op, x, y):
+    """op applied prime by prime to float exponents, straight from the
+    definition, and built through the public constructor."""
+    (tx, dx), (ty, dy) = x, y
+    exps = []
+    for p in PRIMES:
+        e = op(_num(tx.get(p, dx)), _num(ty.get(p, dy)))
+        exps.append((p, INF if e == math.inf else e))
+    d = op(_num(dx), _num(dy))
+    return Supernatural(tuple(exps), INF if d == math.inf else d)
+
+
+def _reference_leq(x, y):
+    (tx, dx), (ty, dy) = x, y
+    return _num(dx) <= _num(dy) and all(
+        _num(tx.get(p, dx)) <= _num(ty.get(p, dy)) for p in PRIMES
+    )
+
+
+def assert_canonical(R):
+    """R is exactly what the validating public constructor makes of its fields."""
+    assert Supernatural(R.exps, R.default) == R
 
 
 # ------------------------------------------------------------ construction
@@ -101,6 +142,55 @@ def test_phi0_values():
     assert format_supernatural(phi0(12)) == "2^2*3"
     assert format_supernatural(phi0(216)) == "2^3*3^3"
     assert mul(phi0(12), phi0(18)) == phi0(216)
+
+
+def test_phi0_past_trial_division():
+    # 2^61 - 1 is prime; the product of two primes above the trial-division
+    # bound is split by rho
+    assert phi0(2305843009213693951).exps == ((2305843009213693951, 1),)
+    R = phi0(2147483629 * 2147483647)
+    assert R.exps == ((2147483629, 1), (2147483647, 1))
+    assert phi0(2**5 * 3 * 2147483647**2).exps == ((2, 5), (3, 1), (2147483647, 2))
+    assert_canonical(R)
+
+
+def test_phi0_refuses_cofactor_past_primality_limit():
+    p, q = 1125899906842679, 1125899906842723  # the two primes after 2^50
+    assert phi0(p).exps == ((p, 1),)
+    with pytest.raises(DomainError):
+        phi0(p * q)
+
+
+def test_primality_is_exact_below_the_limit():
+    # strong pseudoprimes to the first 9 and to the first 12 prime bases
+    for n in (3825123056546413051, 318665857834031151167461):
+        with pytest.raises(DomainError):
+            Supernatural(((n, 1),))
+    Supernatural(((2305843009213693951, 1),))
+    Supernatural(((1000000000000000000000007, 1),))
+    n = 1125899906842679 * 1125899906842723  # no prime factor below 2^50
+    assert n > PRIMALITY_LIMIT
+    with pytest.raises(DomainError, match="cannot decide"):
+        Supernatural(((n, 1),))
+    with pytest.raises(DomainError, match="not prime"):
+        Supernatural(((3 * n, 1),))
+
+
+def test_primality_matches_trial_division():
+    for n in range(-2, 5000):
+        is_prime = n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        if is_prime:
+            Supernatural(((n, 1),))
+        else:
+            with pytest.raises(DomainError):
+                Supernatural(((n, 1),))
+
+
+@given(st.integers(min_value=1, max_value=10**12))
+def test_phi0_is_a_factorization(n):
+    R = phi0(n)
+    assert_canonical(R)
+    assert math.prod(p**e for p, e in R.exps) == n
 
 
 def test_phi0_rejects_nonpositive():
@@ -164,6 +254,23 @@ def test_format_parse_round_trip(a):
 
 
 # ------------------------------------------------------------ algebraic laws
+
+
+@given(tables(), tables())
+def test_operations_match_per_prime_reference(x, y):
+    M, N = _value(x), _value(y)
+    for op, ref in ((mul, lambda a, b: a + b), (gcd, min), (lcm, max)):
+        R = op(M, N)
+        assert R == _reference(ref, x, y)
+        assert_canonical(R)
+    assert leq(M, N) == _reference_leq(x, y)
+
+
+@given(st.lists(naturals, min_size=1, max_size=5))
+def test_phi_of_set_results_are_canonical(values):
+    R = phi_of_set(values)
+    assert_canonical(R)
+    assert R == phi0(math.lcm(*values))
 
 
 @given(supernaturals(), supernaturals())
@@ -317,6 +424,14 @@ def test_extract_output_is_regular_and_dominated(a, depth):
     seq = extract_regular_sequence(a, depth)
     assert len(seq) == depth
     assert leq(phi_of_set(tuple(seq)), a)
+
+
+@given(tables(), st.integers(min_value=1, max_value=7))
+def test_extract_output_is_a_valid_chain(x, depth):
+    if x[1] is INF:
+        return
+    seq = extract_regular_sequence(_value(x), depth)
+    assert RegularSeq(seq.terms) == seq
 
 
 def test_seq_dominates():
