@@ -38,7 +38,7 @@ def _parse_partition(S, text: str):
         for x in b:
             if not isinstance(x, int):
                 raise ParseError("partition blocks hold integer point ids")
-    return dynsys.PeriodicPartition(S, tuple(frozenset(b) for b in data))
+    return dynsys.PeriodicPartition.from_blocks(S, data)
 
 
 def _parse_chain_levels(text: str):

@@ -3,8 +3,9 @@
 A periodic partition of length m is an ordered family W_0..W_{m-1} of
 nonempty, pairwise disjoint sets covering all points with f(W_{i-1}) = W_i
 cyclically.  Equivalently: a labeling c with c(f(x)) = c(x) + 1 mod m whose
-classes are all nonempty.  Most constructions below work on labelings and
-let the PeriodicPartition constructor re-check the defining clauses.
+classes are all nonempty.  A PeriodicPartition is stored as that labeling,
+so the constructions below are label arithmetic, checked once by the
+PeriodicPartition constructor.
 
 The brute-force oracle all_partitions only relies on the defining clauses;
 the faster formulas (ess_periods, the compatibility criterion, the
@@ -14,6 +15,7 @@ test suite.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -224,53 +226,81 @@ def validate_partition(system: FinSystem, blocks) -> PartitionReport:
 
 @dataclass(frozen=True)
 class PeriodicPartition:
-    """An ordered periodic partition W_0..W_{m-1}; validated on construction."""
+    """An ordered periodic partition W_0..W_{m-1}, stored as its labeling:
+    labels[x] is the index of the block holding x, and m = max(labels) + 1.
+
+    The constructor checks the labeling clause c(f(x)) = c(x) + 1 mod m at
+    every point.  No block can then be empty: the wrap-around around a cycle
+    forces its length to be a multiple of m, so every cycle walks through
+    all m labels.  Block lists from outside go through from_blocks.
+    """
 
     system: FinSystem
-    blocks: tuple = ()
+    labels: tuple = ()
 
     def __post_init__(self):
-        blocks = tuple(frozenset(b) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        report = validate_partition(self.system, blocks)
+        labels = tuple(self.labels)
+        object.__setattr__(self, "labels", labels)
+        fwd = self.system.forward
+        if len(labels) != len(fwd):
+            raise DomainError(f"{len(labels)} labels for {len(fwd)} points")
+        if set(map(type, labels)) != {int} or min(labels) < 0:
+            raise DomainError("labels are nonnegative integers")
+        m = self.length
+        if m > len(labels):  # every cycle length is a multiple of m
+            raise DomainError(f"{m} blocks on {len(labels)} points")
+        succ = [*range(1, m), 0]  # succ[c] = c + 1 mod m
+        if list(map(succ.__getitem__, labels)) != list(map(labels.__getitem__, fwd)):
+            raise DomainError(f"labels do not step by one mod {m} along f")
+
+    @classmethod
+    def from_blocks(cls, system: FinSystem, blocks) -> PeriodicPartition:
+        """The partition with the given ordered block list, checked clause by
+        clause through validate_partition."""
+        blocks = [frozenset(b) for b in blocks]
+        report = validate_partition(system, blocks)
         if not report.ok:
             raise DomainError("not a periodic partition: " + "; ".join(report.problems))
-
-    @property
-    def length(self) -> int:
-        return len(self.blocks)
+        return cls(system, _labels_of_blocks(system, blocks))
 
     @cached_property
-    def _labels(self) -> tuple:
-        lab = [0] * self.system.size
-        for i, b in enumerate(self.blocks):
-            for x in b:
-                lab[x] = i
-        return tuple(lab)
+    def length(self) -> int:
+        return max(self.labels) + 1
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """The blocks W_0..W_{m-1} as frozensets."""
+        return tuple(map(frozenset, self.key()))
 
     def index_of(self, x: int) -> int:
         """The index of the block containing x."""
-        return self._labels[x]
+        return self.labels[x]
 
     def key(self):
-        # sortable canonical snapshot of the ordered block list
-        return tuple(tuple(sorted(b)) for b in self.blocks)
+        """The ordered block list with each block ascending: a sortable
+        canonical snapshot."""
+        out = [[] for _ in range(self.length)]
+        for x, c in enumerate(self.labels):
+            out[c].append(x)
+        return tuple(map(tuple, out))
 
 
-def _from_labels(system: FinSystem, labels, m: int) -> PeriodicPartition:
-    blocks = [set() for _ in range(m)]
-    for x, c in enumerate(labels):
-        blocks[c].add(x)
-    return PeriodicPartition(system, tuple(frozenset(b) for b in blocks))
+def _labels_of_blocks(system: FinSystem, blocks) -> tuple:
+    """The labeling of a block list that validate_partition accepted."""
+    labels = [0] * system.size
+    for i, b in enumerate(blocks):
+        for x in b:
+            labels[x] = i
+    return tuple(labels)
 
 
 def blocks_json(P: PeriodicPartition) -> list:
     """The serialized form: a list of sorted point lists, in block order."""
-    return [sorted(b) for b in P.blocks]
+    return [list(b) for b in P.key()]
 
 
 def trivial_partition(S: FinSystem) -> PeriodicPartition:
-    return PeriodicPartition(S, (frozenset(range(S.size)),))
+    return PeriodicPartition(S, (0,) * S.size)
 
 
 def canonical_partition(S: FinSystem, m: int) -> PeriodicPartition:
@@ -283,7 +313,7 @@ def canonical_partition(S: FinSystem, m: int) -> PeriodicPartition:
             raise DomainError(f"no partition of length {m} exists (cycle of length {len(cyc)})")
         for t, x in enumerate(cyc):
             labels[x] = t % m
-    return _from_labels(S, labels, m)
+    return PeriodicPartition(S, labels)
 
 
 def all_partitions(S: FinSystem, m: int, bound: int = 12) -> list:
@@ -314,7 +344,7 @@ def all_partitions(S: FinSystem, m: int, bound: int = 12) -> list:
                     for j in range(m)
                 )
                 if validate_partition(S, blocks).ok:
-                    out.append(PeriodicPartition(S, blocks))
+                    out.append(PeriodicPartition.from_blocks(S, blocks))
             return
         cyc = cycles[i]
         for v in range(m):
@@ -360,7 +390,14 @@ def cyclic_shift(P: PeriodicPartition, k: int) -> PeriodicPartition:
     k %= m
     if k == 0:
         return P
-    return PeriodicPartition(P.system, tuple(P.blocks[(i + k) % m] for i in range(m)))
+    return PeriodicPartition(P.system, [(c - k) % m for c in P.labels])
+
+
+def _rotation_key(P: PeriodicPartition) -> tuple:
+    """The labels shifted so that point 0 is in block 0: equal exactly for
+    the cyclic shifts of one partition."""
+    m, r = P.length, P.labels[0]
+    return tuple((c - r) % m for c in P.labels)
 
 
 def are_equivalent(P1: PeriodicPartition, P2: PeriodicPartition) -> bool:
@@ -369,22 +406,14 @@ def are_equivalent(P1: PeriodicPartition, P2: PeriodicPartition) -> bool:
         raise DomainError("partitions live on different systems")
     if P1.length != P2.length:
         raise DomainError("partitions have different lengths")
-    m = P1.length
-    return any(
-        tuple(P1.blocks[(i + k) % m] for i in range(m)) == P2.blocks for k in range(m)
-    )
+    return _rotation_key(P1) == _rotation_key(P2)
 
 
 def coarsen(P: PeriodicPartition, d: int) -> PeriodicPartition:
     """Merge blocks with indices congruent mod d into a length-d partition."""
     if not isinstance(d, int) or d < 1 or P.length % d:
         raise DomainError(f"{d} does not divide the length {P.length}")
-    m = P.length
-    blocks = tuple(
-        frozenset().union(*(P.blocks[j + k * d] for k in range(m // d)))
-        for j in range(d)
-    )
-    return PeriodicPartition(P.system, blocks)
+    return PeriodicPartition(P.system, [c % d for c in P.labels])
 
 
 def saturation(P1: PeriodicPartition, k: int, P2: PeriodicPartition, l: int) -> frozenset:
@@ -417,11 +446,8 @@ def constant_label_offset(P1: PeriodicPartition, P2: PeriodicPartition):
     if P1.system != P2.system:
         raise DomainError("partitions live on different systems")
     d = math.gcd(P1.length, P2.length)
-    first = (P2.index_of(0) - P1.index_of(0)) % d
-    for x in range(1, P1.system.size):
-        if (P2.index_of(x) - P1.index_of(x)) % d != first:
-            return None
-    return first
+    offsets = set(map(d.__rmod__, map(int.__sub__, P2.labels, P1.labels)))
+    return offsets.pop() if len(offsets) == 1 else None
 
 
 def are_compatible(P1: PeriodicPartition, P2: PeriodicPartition) -> bool:
@@ -449,13 +475,12 @@ def lcm_partition(P1: PeriodicPartition, P2: PeriodicPartition) -> PeriodicParti
     if delta is None:
         raise DomainError("partitions are not compatible")
     m1, m2 = P1.length, P2.length
-    S = P1.system
-    r1, r2 = P1.index_of(0), P2.index_of(0)
+    r1, r2 = P1.labels[0], P2.labels[0]
     labels = [
-        _crt((P1.index_of(x) - r1) % m1, m1, (P2.index_of(x) - r2) % m2, m2)
-        for x in range(S.size)
+        _crt((a - r1) % m1, m1, (b - r2) % m2, m2)
+        for a, b in zip(P1.labels, P2.labels)
     ]
-    return _from_labels(S, labels, math.lcm(m1, m2))
+    return PeriodicPartition(P1.system, labels)
 
 
 def make_compatible(P1: PeriodicPartition, m2: int) -> PeriodicPartition:
@@ -465,27 +490,25 @@ def make_compatible(P1: PeriodicPartition, m2: int) -> PeriodicPartition:
     zero-step slices W1_0 ∩ ref_j of the nonempty saturations A(0, j)
     (scanning j ascending, all shift parameters zero), push their union
     forward to a partition of length lcm, and fold it back mod m2.
+
+    On a cycle whose first point has P1-label a, the point u steps further
+    on lies in that union iff u = -a mod m1 and u mod m2 = -a mod gcd, that
+    is iff u = t mod lcm for the CRT solution t; the fold then gives it the
+    label (u - t) mod m2.
     """
     S = P1.system
     periods, _ = ess_periods(S)
     if m2 not in periods:
         raise DomainError(f"no partition of length {m2} exists")
-    ref = canonical_partition(S, m2)
     m1 = P1.length
     d = math.gcd(m1, m2)
-    D = math.lcm(m1, m2)
-    w0 = set()
-    for j in range(d):
-        w0 |= P1.blocks[0] & ref.blocks[j]
-    slices = []
-    layer = w0
-    for _ in range(D):
-        slices.append(frozenset(layer))
-        layer = {S.forward[x] for x in layer}
-    folded = tuple(
-        frozenset().union(*(slices[s] for s in range(k, D, m2))) for k in range(m2)
-    )
-    return PeriodicPartition(S, folded)
+    labels = [0] * S.size
+    for cyc in S.cycles:
+        a = P1.labels[cyc[0]]
+        t = _crt(-a % m1, m1, -a % d, m2)
+        for u, x in enumerate(cyc):
+            labels[x] = (u - t) % m2
+    return PeriodicPartition(S, labels)
 
 
 def enumerate_compatible(P1: PeriodicPartition, m2: int) -> list:
@@ -493,9 +516,8 @@ def enumerate_compatible(P1: PeriodicPartition, m2: int) -> list:
 
     A compatible labeling is determined by one offset per cycle, subject to
     all cycles inducing the same label difference mod d = gcd(m1, m2); the
-    first cycle's offset ranges freely and pins the difference.  Each
-    candidate is validated through the partition constructor and the
-    compatibility check rather than trusted.  Returns (partition, class_id)
+    first cycle's offset ranges freely and pins the difference, so every
+    candidate is compatible by construction.  Returns (partition, class_id)
     pairs, canonically ordered, where two partitions share a class id iff
     they are cyclic shifts of each other.
     """
@@ -506,54 +528,22 @@ def enumerate_compatible(P1: PeriodicPartition, m2: int) -> list:
     m1 = P1.length
     d = math.gcd(m1, m2)
     cycles = S.cycles
-    anchor_labels = [P1.index_of(cyc[0]) for cyc in cycles]
-    step = m2 // d
+    anchor = [P1.labels[cyc[0]] for cyc in cycles]
     found = []
     for o1 in range(m2):
-        delta = (o1 - anchor_labels[0]) % d
-        per_cycle = [[o1]]
-        for r in range(1, len(cycles)):
-            base = (anchor_labels[r] + delta) % d
-            per_cycle.append([base + j * d for j in range(step)])
-
-        def fill(r: int, offsets):
-            if r == len(cycles):
-                labels = [0] * S.size
-                for cyc, off in zip(cycles, offsets):
-                    for t, x in enumerate(cyc):
-                        labels[x] = (off + t) % m2
-                cand = _from_labels(S, labels, m2)
-                if are_compatible(P1, cand):
-                    found.append(cand)
-                return
-            for off in per_cycle[r]:
-                fill(r + 1, offsets + (off,))
-
-        fill(0, ())
+        delta = (o1 - anchor[0]) % d
+        per_cycle = [[o1]] + [range((a + delta) % d, m2, d) for a in anchor[1:]]
+        for offsets in itertools.product(*per_cycle):
+            labels = [0] * S.size
+            for cyc, off in zip(cycles, offsets):
+                for t, x in enumerate(cyc):
+                    labels[x] = (off + t) % m2
+            found.append(PeriodicPartition(S, labels))
     found.sort(key=PeriodicPartition.key)
-    tagged = []
-    reps = []
-    for P in found:
-        cid = None
-        for i, rep in enumerate(reps):
-            if are_equivalent(P, rep):
-                cid = i
-                break
-        if cid is None:
-            cid = len(reps)
-            reps.append(P)
-        tagged.append((P, cid))
-    return tagged
-
-
-def compatible_classes(P1: PeriodicPartition, m2: int) -> list:
-    """The enumerate_compatible family grouped into equivalence classes."""
-    tagged = enumerate_compatible(P1, m2)
-    n_classes = max((cid for _, cid in tagged), default=-1) + 1
-    classes = [[] for _ in range(n_classes)]
-    for P, cid in tagged:
-        classes[cid].append(P)
-    return classes
+    class_ids = {}
+    return [
+        (P, class_ids.setdefault(_rotation_key(P), len(class_ids))) for P in found
+    ]
 
 
 def invariant_components(S: FinSystem) -> list:
@@ -601,8 +591,11 @@ class PartitionChain:
         return tuple(P.length for P in self.partitions)
 
 
-def _refines_blockwise(fine: PeriodicPartition, coarse: PeriodicPartition) -> bool:
-    return all(any(b <= c for c in coarse.blocks) for b in fine.blocks)
+def refines(fine, coarse) -> bool:
+    """Whether every class of the labeling fine lies inside one class of the
+    labeling coarse (labels are any hashable values, one per point)."""
+    image = {}
+    return all(image.setdefault(a, b) == b for a, b in zip(fine, coarse))
 
 
 @dataclass
@@ -636,7 +629,7 @@ def validate_chain(system: FinSystem, levels) -> ChainReport:
             levels_valid = False
             problems.append(f"level {i}: " + "; ".join(report.problems))
         else:
-            parts.append(PeriodicPartition(system, tuple(frozenset(b) for b in blocks)))
+            parts.append(PeriodicPartition(system, _labels_of_blocks(system, blocks)))
     if not levels:
         levels_valid = False
         problems.append("empty chain")
@@ -662,7 +655,7 @@ def validate_chain(system: FinSystem, levels) -> ChainReport:
     refinement = divides
     if divides:
         for i, (A, B) in enumerate(zip(parts, parts[1:])):
-            if not _refines_blockwise(B, A):
+            if not refines(B.labels, A.labels):
                 refinement = False
                 problems.append(f"level {i + 1} does not refine level {i} blockwise")
     return ChainReport(
@@ -751,26 +744,14 @@ def partition_from_return(S: FinSystem, x: int, U):
         raise DomainError("the set must contain the base point")
     cyc = S.cycle_of(x)
     L = len(cyc)
-    m = None
-    for n in range(1, L + 1):
-        y = x
-        ok = True
-        for _ in range(L):
-            if y not in U:
-                ok = False
-                break
-            y = S.iterate(y, n)
-        if ok:
-            m = n
-            break
-    # the minimal return step always divides the cycle length
-    assert m is not None and L % m == 0
+    i = cyc.index(x)
+    walk = cyc[i:] + cyc[:i]  # walk[u] = f^u(x)
+    # the f^n-orbit of x is its f^gcd(n, L)-orbit, so the least n is a
+    # divisor of L, and n = L (the orbit {x}) always qualifies
+    m = next(
+        n for n in range(1, L + 1)
+        if L % n == 0 and all(y in U for y in walk[::n])
+    )
     T, pts = cycle_subsystem(S, x)
-    index = {p: i for i, p in enumerate(pts)}
-    w0 = frozenset(index[S.iterate(x, m * k)] for k in range(L // m))
-    blocks = []
-    layer = w0
-    for _ in range(m):
-        blocks.append(frozenset(layer))
-        layer = frozenset(T.forward[z] for z in layer)
-    return m, PeriodicPartition(T, tuple(blocks))
+    steps = {y: u for u, y in enumerate(walk)}
+    return m, PeriodicPartition(T, [steps[p] % m for p in pts])

@@ -19,6 +19,7 @@ from .dynsys import (
     PartitionChain,
     cyclic_shift,
     ess_periods,
+    refines,
     trivial_partition,
 )
 from .errors import DomainError
@@ -33,24 +34,16 @@ from .supernatural import (
 )
 
 
-@dataclass(frozen=True)
-class SigmaDownSet:
-    """The family of odometer sizes a system can project onto: {N : N <= top}."""
-
-    top: Supernatural
-
-    def contains(self, N: Supernatural) -> bool:
-        return leq(N, self.top)
-
-
-def sigma_of_system(S: FinSystem) -> SigmaDownSet:
+def sigma_of_system(S: FinSystem) -> Supernatural:
+    """The top of the odometer sizes S projects onto: those are exactly the
+    N with leq(N, sigma_of_system(S))."""
     _, phi = ess_periods(S)
-    return SigmaDownSet(phi)
+    return phi
 
 
 def projection_exists(S: FinSystem, base: BaseSequence) -> bool:
     """Order criterion: the target's factorization is below the system's."""
-    return sigma_of_system(S).contains(ess_of_odometer(base))
+    return leq(ess_of_odometer(base), sigma_of_system(S))
 
 
 def normalize_coherent(chain: PartitionChain, x: int) -> PartitionChain:
@@ -90,16 +83,12 @@ def build_factor_map(S: FinSystem, chain: PartitionChain) -> FactorMap:
     """
     if chain.system != S:
         raise DomainError("chain belongs to a different system")
-    common = frozenset.intersection(*(P.blocks[0] for P in chain.partitions))
-    if not common:
+    labels = tuple(zip(*(P.labels for P in chain.partitions)))
+    # the vectors are coherent once the zero blocks share a point: each
+    # level refines the one before and agrees with it at that point
+    if (0,) * len(chain.partitions) not in labels:
         chain = normalize_coherent(chain, 0)
-    labels = tuple(
-        tuple(P.index_of(x) for P in chain.partitions) for x in range(S.size)
-    )
-    # coherence of every label vector is structural once the zero blocks
-    # share a point; AdicInt re-checks it for each vector
-    for x in range(S.size):
-        AdicInt(BaseSequence(chain.lengths), labels[x])
+        labels = tuple(zip(*(P.labels for P in chain.partitions)))
     return FactorMap(S, chain, labels)
 
 
@@ -114,12 +103,18 @@ def fiber(F: FactorMap, vec) -> frozenset:
     return frozenset(x for x in range(F.source.size) if F.labels[x] == residues)
 
 
+def _fibers(F: FactorMap) -> dict:
+    """Label vector -> the ascending points carrying it, keyed in order of
+    first appearance."""
+    groups = {}
+    for x, lab in enumerate(F.labels):
+        groups.setdefault(lab, []).append(x)
+    return groups
+
+
 def fiber_partition(F: FactorMap) -> frozenset:
     """The zer-partition: points grouped by label."""
-    groups = {}
-    for x in range(F.source.size):
-        groups.setdefault(F.labels[x], set()).add(x)
-    return frozenset(frozenset(g) for g in groups.values())
+    return frozenset(map(frozenset, _fibers(F).values()))
 
 
 class Comparison(enum.Enum):
@@ -127,10 +122,6 @@ class Comparison(enum.Enum):
     SECOND_FACTORS_THROUGH_FIRST = "f2-factors-through-f1"
     FIRST_FACTORS_THROUGH_SECOND = "f1-factors-through-f2"
     INCOMPARABLE = "incomparable"
-
-
-def _refines(fine: frozenset, coarse: frozenset) -> bool:
-    return all(any(b <= c for c in coarse) for b in fine)
 
 
 def compare_projections(F1: FactorMap, F2: FactorMap) -> Comparison:
@@ -141,10 +132,8 @@ def compare_projections(F1: FactorMap, F2: FactorMap) -> Comparison:
     """
     if F1.source != F2.source:
         raise DomainError("factor maps have different sources")
-    zer1 = fiber_partition(F1)
-    zer2 = fiber_partition(F2)
-    r12 = _refines(zer1, zer2)
-    r21 = _refines(zer2, zer1)
+    r12 = refines(F1.labels, F2.labels)
+    r21 = refines(F2.labels, F1.labels)
     if r12 and r21:
         return Comparison.EQUIVALENT
     if r12:
@@ -162,7 +151,7 @@ def is_maximal_projection(F: FactorMap) -> bool:
     system's sigma order (on finite systems the top is an ordinary integer,
     so finite depth genuinely decides it).
     """
-    return ess_of_odometer(F.target) == sigma_of_system(F.source).top
+    return ess_of_odometer(F.target) == sigma_of_system(F.source)
 
 
 def max_odometer_factor(S: FinSystem, depth: int | None = None):
@@ -172,7 +161,7 @@ def max_odometer_factor(S: FinSystem, depth: int | None = None):
     of the top value — is exactly enough for the extracted chain to reach
     the top, so the result is maximal.
     """
-    top = sigma_of_system(S).top
+    top = sigma_of_system(S)
     if depth is None:
         exps = [e for _, e in top.exps if e is not INF]
         depth = max(1, len(top.exps) + (max(exps) if exps else 0))
@@ -188,8 +177,9 @@ def enumerate_factor_maps(S: FinSystem, lengths) -> list:
 
     Chains are enumerated level by level through enumerate_compatible
     (seeded at the trivial partition, so the first level ranges over every
-    partition of its length); maps are grouped by mutual factorization.
-    Returns a list of equivalence classes, each a list of FactorMaps.
+    partition of its length); maps are grouped by mutual factorization,
+    that is by equal fibers.  Returns a list of equivalence classes, each a
+    list of FactorMaps.
     """
     seq = lengths if isinstance(lengths, RegularSeq) else RegularSeq(tuple(lengths))
     periods, _ = ess_periods(S)
@@ -204,24 +194,16 @@ def enumerate_factor_maps(S: FinSystem, lengths) -> list:
             for Q, _cid in dynsys.enumerate_compatible(prev, n):
                 nxt.append(pref + (Q,))
         prefixes = nxt
-    maps = [build_factor_map(S, PartitionChain(pref)) for pref in prefixes]
-    classes = []
-    for F in maps:
-        for cls in classes:
-            if compare_projections(F, cls[0]) is Comparison.EQUIVALENT:
-                cls.append(F)
-                break
-        else:
-            classes.append([F])
-    return classes
+    classes = {}
+    for pref in prefixes:
+        F = build_factor_map(S, PartitionChain(pref))
+        classes.setdefault(tuple(map(tuple, _fibers(F).values())), []).append(F)
+    return list(classes.values())
 
 
 def singleton_fiber_set(F: FactorMap) -> frozenset:
     """The points over which the map is one-to-one."""
-    counts = {}
-    for x in range(F.source.size):
-        counts[F.labels[x]] = counts.get(F.labels[x], 0) + 1
-    return frozenset(x for x in range(F.source.size) if counts[F.labels[x]] == 1)
+    return frozenset(g[0] for g in _fibers(F).values() if len(g) == 1)
 
 
 def almost_periodic_points(S: FinSystem) -> frozenset:
@@ -231,12 +213,11 @@ def almost_periodic_points(S: FinSystem) -> frozenset:
 
 def factor_report(F: FactorMap) -> dict:
     """The JSON-ready report with a stable key and element order."""
-    distinct = sorted(set(F.labels))
-    fibers = [sorted(x for x in range(F.source.size) if F.labels[x] == lab) for lab in distinct]
+    groups = _fibers(F)
     return {
         "target_levels": list(F.chain.lengths),
         "labels": {str(x): list(F.labels[x]) for x in range(F.source.size)},
-        "fibers": fibers,
+        "fibers": [groups[lab] for lab in sorted(groups)],
         "maximal": is_maximal_projection(F),
-        "sigma_top": format_supernatural(sigma_of_system(F.source).top),
+        "sigma_top": format_supernatural(sigma_of_system(F.source)),
     }

@@ -168,13 +168,9 @@ def level_partition(base: BaseSequence, k: int) -> PeriodicPartition:
     """Level-k cylinders as a periodic partition of the full-depth truncation."""
     if not 1 <= k <= base.depth:
         raise DomainError(f"level {k} out of range 1..{base.depth}")
-    T = truncate(base, base.depth)
     nk = base.levels[k - 1]
-    nK = base.levels[-1]
-    blocks = tuple(
-        frozenset(z for z in range(nK) if z % nk == i) for i in range(nk)
-    )
-    return PeriodicPartition(T, blocks)
+    labels = [z % nk for z in range(base.levels[-1])]
+    return PeriodicPartition(truncate(base, base.depth), labels)
 
 
 def ess_of_odometer(base: BaseSequence) -> Supernatural:

@@ -8,9 +8,9 @@ tests can cross-check against it.
 
 import random
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
-from adicdyn import FinSystem
+from adicdyn import Comparison, FinSystem, canonical_partition, compare_projections
 
 
 def divisors(n):
@@ -81,6 +81,44 @@ def random_system(n, rng):
     fwd = list(range(n))
     rng.shuffle(fwd)
     return FinSystem(tuple(fwd))
+
+
+def random_periodic_system(max_n, rng):
+    """A randomly relabeled permutation of at most max_n points whose cycle
+    lengths share a random factor, so that it has partitions of length > 1."""
+    g = rng.choice([d for d in (1, 2, 3, 4, 6) if d <= max_n])
+    parts = [g]
+    while sum(parts) + g <= max_n and rng.random() < 0.7:
+        parts.append(g * rng.randint(1, (max_n - sum(parts)) // g))
+    return random_conjugate(system_of_type(tuple(parts)), rng)
+
+
+def make_compatible_reference(P1, m2):
+    """make_compatible as its docstring states it, on block sets: the slices
+    W1_0 & ref_j (j < gcd) of the reference length-m2 partition, pushed
+    forward lcm steps and folded mod m2.  Returns sorted block lists."""
+    S = P1.system
+    ref = canonical_partition(S, m2)
+    layer = set().union(*(P1.blocks[0] & ref.blocks[j] for j in range(gcd(P1.length, m2))))
+    folded = [set() for _ in range(m2)]
+    for s in range(lcm(P1.length, m2)):
+        folded[s % m2] |= layer
+        layer = {S.apply(x) for x in layer}
+    return [sorted(b) for b in folded]
+
+
+def pairwise_classes(maps):
+    """Factor maps grouped by pairwise compare_projections, each class
+    headed by its first member in the given order."""
+    classes = []
+    for F in maps:
+        for cls in classes:
+            if compare_projections(F, cls[0]) is Comparison.EQUIVALENT:
+                cls.append(F)
+                break
+        else:
+            classes.append([F])
+    return classes
 
 
 def strict_divisor_chains(limit):

@@ -43,7 +43,7 @@ import helpers
 
 
 def P(system, *blocks):
-    return PeriodicPartition(system, tuple(frozenset(b) for b in blocks))
+    return PeriodicPartition.from_blocks(system, blocks)
 
 
 def saturation_is_all_or_nothing(P1, P2):
@@ -124,6 +124,40 @@ def test_validate_cycle_failure():
     rep = validate_partition(S, [[0, 1], [2, 3]])
     assert not rep.ok
     assert not rep.clause_ii
+
+
+def test_labeling_check_matches_clause_check():
+    # every labeling in range(m)^n of every cycle type up to 5 points: the
+    # constructor accepts exactly those whose blocks validate_partition
+    # accepts, and builds the partition from_blocks builds from them
+    for parts in helpers.all_cycle_types(5):
+        S = helpers.system_of_type(parts)
+        for m in range(1, 5):
+            for labels in itertools.product(range(m), repeat=S.size):
+                blocks = [
+                    [x for x in range(S.size) if labels[x] == j]
+                    for j in range(max(labels) + 1)
+                ]
+                ok = validate_partition(S, blocks).ok
+                try:
+                    Q = PeriodicPartition(S, labels)
+                except DomainError:
+                    assert not ok, (parts, labels)
+                else:
+                    assert ok, (parts, labels)
+                    assert Q == P(S, *blocks) and blocks_json(Q) == blocks
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [(0, 1, 0), (0, 1, 0, 1, 0), (1, 0, 1, -2), (0, True, 0, 1), (0, 1.0, 0, 1),
+     (0, "1", 0, 1), (0, None, 0, 1), (0, 5, 0, 1), (0, 10**30, 0, 1)],
+)
+def test_labeling_constructor_rejects_bad_labels(labels):
+    S = helpers.system_of_type((4,))
+    assert PeriodicPartition(S, (1, 0, 1, 0)).length == 2
+    with pytest.raises(DomainError):
+        PeriodicPartition(S, labels)
 
 
 def test_partition_constructor_rejects_invalid():
@@ -459,6 +493,22 @@ def test_make_compatible_always_valid_and_compatible():
                 assert are_compatible(P1, Q), (parts, m1, m2)
 
 
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(deadline=None)
+def test_make_compatible_matches_docstring_construction(seed):
+    # the per-cycle CRT offsets pick the partition the slice-and-fold
+    # construction picks; the CLI's compat make, chain build and project
+    # output depends on that exact choice
+    rng = helpers.seeded(seed)
+    S = helpers.random_periodic_system(12, rng)
+    periods, _ = ess_periods(S)
+    for m1 in sorted(periods):
+        P1, _ = rng.choice(enumerate_compatible(trivial_partition(S), m1))
+        for m2 in sorted(periods):
+            want = helpers.make_compatible_reference(P1, m2)
+            assert blocks_json(make_compatible(P1, m2)) == want, (S, m1, m2)
+
+
 def test_make_compatible_is_deterministic():
     S = helpers.system_of_type((4, 4))
     P1 = make_compatible(trivial_partition(S), 2)
@@ -662,6 +712,36 @@ def test_return_length_divides_cycle_length():
         U = frozenset(range(0, 12, r)) | {0}
         m, _ = partition_from_return(S, 0, U)
         assert 12 % m == 0
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(deadline=None)
+def test_return_partition_matches_definition(seed):
+    # m and the blocks, read off the docstring by brute force
+    rng = helpers.seeded(seed)
+    S = helpers.random_system(rng.randint(1, 12), rng)
+    x = rng.randrange(S.size)
+    step = rng.randint(1, S.size)
+    U = {S.iterate(x, step * k) for k in range(S.size)}
+    U |= {y for y in range(S.size) if rng.random() < 0.3}
+
+    def orbit(n):
+        # the full f^n-orbit of x
+        out, y = [x], S.iterate(x, n)
+        while y != x:
+            out.append(y)
+            y = S.iterate(y, n)
+        return out
+
+    want_m = next(n for n in itertools.count(1) if set(orbit(n)) <= U)
+    T, pts = cycle_subsystem(S, x)
+    layer = {pts.index(y) for y in orbit(want_m)}
+    want_blocks = []
+    for _ in range(want_m):
+        want_blocks.append(sorted(layer))
+        layer = {T.apply(z) for z in layer}
+    m, Q = partition_from_return(S, x, U)
+    assert (m, blocks_json(Q)) == (want_m, want_blocks)
 
 
 # ------------------------------------------------------------- property mix

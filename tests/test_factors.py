@@ -171,9 +171,9 @@ def test_fiber_accepts_adic_int():
 def test_sigma_membership():
     S = helpers.system_of_type((12,))
     sigma = sigma_of_system(S)
-    assert sigma.contains(phi0(4))
-    assert not sigma.contains(phi0(5))
-    assert sigma.contains(phi0(1))
+    assert leq(phi0(4), sigma)
+    assert not leq(phi0(5), sigma)
+    assert leq(phi0(1), sigma)
 
 
 def test_projection_exists_examples():
@@ -359,6 +359,20 @@ def test_classes_are_mutually_inequivalent():
     for cls in classes:
         for Fa, Fb in itertools.combinations(cls, 2):
             assert compare_projections(Fa, Fb) is Comparison.EQUIVALENT
+
+
+def test_classes_match_pairwise_comparison():
+    # grouping by fibers vs the pairwise compare_projections grouping
+    rng = helpers.seeded(20261019)
+    for parts in [(2, 2), (2, 4), (4, 4), (2, 2, 2), (3, 6), (2, 2, 4), (6, 6)]:
+        S = helpers.random_conjugate(helpers.system_of_type(parts), rng)
+        periods, _ = ess_periods(S)
+        for chain in helpers.strict_divisor_chains(max(periods)):
+            if len(chain) > 2 or not set(chain) <= periods:
+                continue
+            classes = enumerate_factor_maps(S, chain)
+            maps = [F for cls in classes for F in cls]
+            assert classes == helpers.pairwise_classes(maps), (parts, chain)
 
 
 # ------------------------------------------------------------- dichotomy
