@@ -36,7 +36,7 @@ def _parse_partition(S, text: str):
         raise ParseError("a partition is a JSON array of point arrays")
     for b in data:
         for x in b:
-            if not isinstance(x, int):
+            if type(x) is not int:  # JSON true/false are not point ids
                 raise ParseError("partition blocks hold integer point ids")
     return dynsys.PeriodicPartition.from_blocks(S, data)
 

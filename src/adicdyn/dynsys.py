@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainError, ParseError
-from .supernatural import RegularSeq, phi0
+from .supernatural import BaseSequence, phi0
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,7 @@ def validate_partition(system: FinSystem, blocks) -> PartitionReport:
             problems.append(f"block {i} is empty")
 
     in_range = all(
-        isinstance(x, int) and 0 <= x < system.size for b in blocks for x in b
+        type(x) is int and 0 <= x < system.size for b in blocks for x in b
     )
     if not in_range:
         problems.append("point ids out of range")
@@ -322,8 +322,8 @@ def all_partitions(S: FinSystem, m: int, bound: int = 12) -> list:
     This is the oracle the closed-form routes are tested against, so it uses
     nothing but the defining increment rule: labels are propagated point by
     point along each cycle and the wrap-around is checked directly.  Every
-    completed candidate is re-validated clause by clause through
-    validate_partition before being admitted.
+    completed candidate is admitted through PeriodicPartition.from_blocks
+    alone, which checks it clause by clause with validate_partition.
     """
     if not isinstance(m, int) or m < 1:
         raise DomainError("length must be a positive integer")
@@ -343,8 +343,7 @@ def all_partitions(S: FinSystem, m: int, bound: int = 12) -> list:
                     frozenset(x for x in range(S.size) if labels[x] == j)
                     for j in range(m)
                 )
-                if validate_partition(S, blocks).ok:
-                    out.append(PeriodicPartition.from_blocks(S, blocks))
+                out.append(PeriodicPartition.from_blocks(S, blocks))
             return
         cyc = cycles[i]
         for v in range(m):
@@ -380,8 +379,24 @@ def ess_periods(S: FinSystem):
     all_partitions oracle.)
     """
     g = period_gcd(S)
-    periods = frozenset(d for d in range(1, g + 1) if g % d == 0)
-    return periods, phi0(g)
+    small = [d for d in range(1, math.isqrt(g) + 1) if g % d == 0]
+    return frozenset(small + [g // d for d in small]), phi0(g)
+
+
+def _require_period(S: FinSystem, m) -> None:
+    """Refuse m unless it is a partition length of S: a divisor of the gcd
+    of the cycle lengths (see ess_periods)."""
+    if not (isinstance(m, int) and m >= 1 and period_gcd(S) % m == 0):
+        raise DomainError(f"no partition of length {m} exists")
+
+
+def _period_base(S: FinSystem, lengths) -> BaseSequence:
+    """lengths as a divisibility chain whose every level, in order, is a
+    partition length of S."""
+    base = lengths if isinstance(lengths, BaseSequence) else BaseSequence(tuple(lengths))
+    for n in base.levels:
+        _require_period(S, n)
+    return base
 
 
 def cyclic_shift(P: PeriodicPartition, k: int) -> PeriodicPartition:
@@ -497,9 +512,7 @@ def make_compatible(P1: PeriodicPartition, m2: int) -> PeriodicPartition:
     label (u - t) mod m2.
     """
     S = P1.system
-    periods, _ = ess_periods(S)
-    if m2 not in periods:
-        raise DomainError(f"no partition of length {m2} exists")
+    _require_period(S, m2)
     m1 = P1.length
     d = math.gcd(m1, m2)
     labels = [0] * S.size
@@ -522,9 +535,7 @@ def enumerate_compatible(P1: PeriodicPartition, m2: int) -> list:
     they are cyclic shifts of each other.
     """
     S = P1.system
-    periods, _ = ess_periods(S)
-    if not isinstance(m2, int) or m2 not in periods:
-        raise DomainError(f"no partition of length {m2} exists")
+    _require_period(S, m2)
     m1 = P1.length
     d = math.gcd(m1, m2)
     cycles = S.cycles
@@ -665,14 +676,9 @@ def validate_chain(system: FinSystem, levels) -> ChainReport:
 
 def build_chain(S: FinSystem, lengths) -> PartitionChain:
     """A deterministic chain with the given lengths, by iterated make_compatible."""
-    seq = lengths if isinstance(lengths, RegularSeq) else RegularSeq(tuple(lengths))
-    periods, _ = ess_periods(S)
-    for n in seq.terms:
-        if n not in periods:
-            raise DomainError(f"no partition of length {n} exists")
     parts = []
     prev = trivial_partition(S)
-    for n in seq.terms:
+    for n in _period_base(S, lengths).levels:
         prev = make_compatible(prev, n)
         parts.append(prev)
     return PartitionChain(tuple(parts))
@@ -690,9 +696,7 @@ def extend_chain(chain: PartitionChain, m: int) -> PartitionChain:
     lengths = chain.lengths
     if m in lengths:
         return chain
-    periods, _ = ess_periods(chain.system)
-    if m not in periods:
-        raise DomainError(f"no partition of length {m} exists")
+    _require_period(chain.system, m)
     if m % lengths[-1] == 0:
         new = make_compatible(chain.partitions[-1], m)
         return PartitionChain(chain.partitions + (new,))

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import dynsys
 from .dynsys import (
     FinSystem,
     PartitionChain,
     cyclic_shift,
-    ess_periods,
+    period_gcd,
     refines,
     trivial_partition,
 )
@@ -26,19 +27,18 @@ from .errors import DomainError
 from .odometer import AdicInt, BaseSequence, ess_of_odometer
 from .supernatural import (
     INF,
-    RegularSeq,
     Supernatural,
     extract_regular_sequence,
     format_supernatural,
     leq,
+    phi0,
 )
 
 
 def sigma_of_system(S: FinSystem) -> Supernatural:
     """The top of the odometer sizes S projects onto: those are exactly the
     N with leq(N, sigma_of_system(S))."""
-    _, phi = ess_periods(S)
-    return phi
+    return phi0(period_gcd(S))
 
 
 def projection_exists(S: FinSystem, base: BaseSequence) -> bool:
@@ -66,7 +66,7 @@ class FactorMap:
     chain: PartitionChain
     labels: tuple = ()
 
-    @property
+    @cached_property
     def target(self) -> BaseSequence:
         return BaseSequence(self.chain.lengths)
 
@@ -169,7 +169,7 @@ def max_odometer_factor(S: FinSystem, depth: int | None = None):
         raise DomainError("depth must be a positive integer")
     seq = extract_regular_sequence(top, depth)
     chain = dynsys.build_chain(S, seq)
-    return BaseSequence(seq.terms), build_factor_map(S, chain)
+    return seq, build_factor_map(S, chain)
 
 
 def enumerate_factor_maps(S: FinSystem, lengths) -> list:
@@ -181,13 +181,8 @@ def enumerate_factor_maps(S: FinSystem, lengths) -> list:
     that is by equal fibers.  Returns a list of equivalence classes, each a
     list of FactorMaps.
     """
-    seq = lengths if isinstance(lengths, RegularSeq) else RegularSeq(tuple(lengths))
-    periods, _ = ess_periods(S)
-    for n in seq.terms:
-        if n not in periods:
-            raise DomainError(f"no partition of length {n} exists")
     prefixes = [()]
-    for n in seq.terms:
+    for n in dynsys._period_base(S, lengths).levels:
         nxt = []
         for pref in prefixes:
             prev = pref[-1] if pref else trivial_partition(S)

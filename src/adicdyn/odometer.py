@@ -15,33 +15,7 @@ from typing import NamedTuple
 
 from .dynsys import FinSystem, PeriodicPartition
 from .errors import DomainError, ParseError
-from .supernatural import Supernatural, phi0
-
-
-@dataclass(frozen=True)
-class BaseSequence:
-    """A divisibility chain of levels n1 | n2 | ... | nK, the working depth K."""
-
-    levels: tuple = ()
-
-    def __post_init__(self):
-        levels = tuple(self.levels)
-        object.__setattr__(self, "levels", levels)
-        if not levels:
-            raise DomainError("a base needs at least one level")
-        for n in levels:
-            if not isinstance(n, int) or n < 1:
-                raise DomainError(f"bad level {n!r}: levels are positive integers")
-        for a, b in zip(levels, levels[1:]):
-            if b % a:
-                raise DomainError(f"{a} does not divide {b}")
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
-
-    def __str__(self) -> str:
-        return format_base(self)
+from .supernatural import BaseSequence, Supernatural, format_base, phi0
 
 
 @dataclass(frozen=True)
@@ -196,10 +170,6 @@ def parse_base(text: str) -> BaseSequence:
         return BaseSequence(tuple(levels))
     except DomainError as exc:
         raise ParseError(str(exc)) from None
-
-
-def format_base(base: BaseSequence) -> str:
-    return ",".join(map(str, base.levels))
 
 
 def parse_adic(base: BaseSequence, text: str) -> AdicInt:

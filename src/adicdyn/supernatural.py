@@ -53,8 +53,6 @@ class _Infinity:
 
 INF = _Infinity()
 
-Exp = "int | _Infinity"  # documentation alias; exponents are ints or INF
-
 
 # Miller-Rabin with the first 13 prime bases is exact below psi_13
 # (Sorenson & Webster, Math. Comp. 86, 2017); past it no base set is known
@@ -293,36 +291,47 @@ def regular_contains(R: Supernatural, a: int) -> bool:
 
 
 @dataclass(frozen=True)
-class RegularSeq:
-    """A divisibility chain b1 | b2 | ... | bK of positive integers."""
+class BaseSequence:
+    """A divisibility chain of levels n1 | n2 | ... | nK, the working depth K:
+    the base of an odometer, and the regular sequences of this module."""
 
-    terms: tuple = ()
+    levels: tuple = ()
 
     def __post_init__(self):
-        terms = tuple(self.terms)
-        object.__setattr__(self, "terms", terms)
-        if not terms:
-            raise DomainError("a regular sequence needs at least one term")
-        for b in terms:
-            if not isinstance(b, int) or b < 1:
-                raise DomainError(f"bad term {b!r}: terms are positive integers")
-        for a, b in zip(terms, terms[1:]):
+        levels = tuple(self.levels)
+        object.__setattr__(self, "levels", levels)
+        if not levels:
+            raise DomainError("a base needs at least one level")
+        for n in levels:
+            if not isinstance(n, int) or n < 1:
+                raise DomainError(f"bad level {n!r}: levels are positive integers")
+        for a, b in zip(levels, levels[1:]):
             if b % a:
                 raise DomainError(f"{a} does not divide {b}")
 
-    def __iter__(self):
-        return iter(self.terms)
+    @property
+    def depth(self) -> int:
+        return len(self.levels)
 
-    def __len__(self):
-        return len(self.terms)
+    def __str__(self) -> str:
+        return format_base(self)
 
 
-def extract_regular_sequence(R: Supernatural, depth: int) -> RegularSeq:
+# bench/tracer.py hooks the validation of supernatural.RegularSeq, the former
+# name of this class; the alias stays until that hook is dropped.
+RegularSeq = BaseSequence
+
+
+def format_base(base: BaseSequence) -> str:
+    return ",".join(map(str, base.levels))
+
+
+def extract_regular_sequence(R: Supernatural, depth: int) -> BaseSequence:
     """A deterministic divisibility chain whose phi-sup climbs to R.
 
-    Term k is the product over the first k support primes p of
+    Level k is the product over the first k support primes p of
     p^min(R_p, k): support primes enter one at a time in ascending order
-    while every exponent ramps up, so consecutive terms divide and the
+    while every exponent ramps up, so consecutive levels divide and the
     prefix sup is monotone, reaching R once k covers both the support and
     the largest finite exponent.  Requires default 0 — with all but
     finitely many exponents infinite there is no finite chain to extract.
@@ -338,14 +347,14 @@ def extract_regular_sequence(R: Supernatural, depth: int) -> RegularSeq:
         for p, e in support[:k]:
             b *= p ** min(e, k)
         terms.append(b)
-    seq = object.__new__(RegularSeq)  # a divisibility chain by construction
-    object.__setattr__(seq, "terms", tuple(terms))
+    seq = object.__new__(BaseSequence)  # a divisibility chain by construction
+    object.__setattr__(seq, "levels", tuple(terms))
     return seq
 
 
-def seq_dominates(a: RegularSeq, b: RegularSeq) -> bool:
-    """True iff every term of a divides some term of b."""
-    return all(any(bj % ai == 0 for bj in b.terms) for ai in a.terms)
+def seq_dominates(a: BaseSequence, b: BaseSequence) -> bool:
+    """True iff every level of a divides some level of b."""
+    return all(any(bj % ai == 0 for bj in b.levels) for ai in a.levels)
 
 
 def parse_supernatural(text: str) -> Supernatural:

@@ -215,3 +215,17 @@ def test_large_numbers_answer_in_bounded_time():
         )
         assert proc.returncode == code, (argv, proc.stderr)
         assert proc.stdout == out
+
+
+def test_boolean_point_ids_are_parse_errors(capsys):
+    code, out, err = invoke(capsys, "compat", "make", "(0 1 2 3)", "[[0,2],[true,3]]", "2")
+    assert (code, out) == (2, "")
+    assert "integer point ids" in err
+    code, out, _ = invoke(capsys, "chain", "extend", "(0 1 2 3)", "[[[0,2],[true,3]]]", "4")
+    assert (code, out) == (2, "")
+
+
+def test_chain_validate_reports_boolean_point_ids(capsys):
+    data = invoke_json(capsys, "chain", "validate", "(0 1 2 3)", "[[[0,2],[true,3]]]")
+    assert data["valid"] is False
+    assert "point ids out of range" in data["problems"][0]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adicdyn import (
+    BaseSequence,
     DomainError,
     ParseError,
     PeriodicPartition,
@@ -203,6 +204,29 @@ def test_oracle_results_are_valid_and_distinct():
         assert validate_partition(S, [sorted(b) for b in Q.blocks]).ok
 
 
+def test_oracle_validates_each_candidate_once(monkeypatch):
+    from adicdyn import dynsys
+
+    calls = []
+    real = dynsys.validate_partition
+
+    def counting(system, blocks):
+        calls.append(1)
+        return real(system, blocks)
+
+    monkeypatch.setattr(dynsys, "validate_partition", counting)
+    found = all_partitions(helpers.system_of_type((4, 4, 4)), 4)
+    assert len(found) == 64
+    assert len(calls) == 64
+
+
+def test_from_blocks_refuses_boolean_point_ids():
+    S = helpers.system_of_type((4,))
+    with pytest.raises(DomainError, match="point ids out of range"):
+        P(S, [0, 2], [True, 3])
+    assert "point ids out of range" in validate_partition(S, [[0, 2], [True, 3]]).problems
+
+
 # ------------------------------------------------------------- ess
 
 
@@ -219,6 +243,18 @@ def test_ess_examples():
     periods, phi = ess_periods(S)
     assert periods == frozenset({1, 2, 3, 4, 6, 12})
     assert format_supernatural(phi) == "2^2*3"
+
+
+def test_ess_periods_match_brute_force_divisors():
+    # cycles of lengths g and 2g have gcd g, for every g up to 400
+    for g in range(1, 401):
+        S = helpers.system_of_type((g, 2 * g))
+        periods, _ = ess_periods(S)
+        assert periods == {d for d in range(1, g + 1) if g % d == 0}, g
+    S = helpers.system_of_type((720720,))
+    periods, _ = ess_periods(S)
+    assert periods == {d for d in range(1, 720721) if 720720 % d == 0}
+    assert len(periods) == 240
 
 
 def test_ess_matches_oracle_small():
@@ -481,6 +517,15 @@ def test_make_compatible_rejects_length_not_in_ess():
         make_compatible(trivial_partition(S), 3)
 
 
+def test_make_compatible_rejects_non_int_length():
+    S = helpers.system_of_type((2, 2))
+    for m in (2.0, "2", None, 0, -2):
+        with pytest.raises(DomainError, match=f"no partition of length {m} exists"):
+            make_compatible(trivial_partition(S), m)
+        with pytest.raises(DomainError, match=f"no partition of length {m} exists"):
+            enumerate_compatible(trivial_partition(S), m)
+
+
 def test_make_compatible_always_valid_and_compatible():
     for parts in [(4, 2), (6, 3), (2, 2, 2), (12,), (6, 6)]:
         S = helpers.system_of_type(parts)
@@ -620,6 +665,17 @@ def test_chain_rejects_bad_lengths():
         build_chain(S, [4, 2])  # divisibility violated
     with pytest.raises(DomainError):
         build_chain(S, [])
+
+
+def test_chain_lengths_are_checked_as_one_base():
+    S = helpers.system_of_type((4, 4))
+    with pytest.raises(DomainError, match="a base needs at least one level"):
+        build_chain(S, [])
+    with pytest.raises(DomainError, match="bad level 0: levels are positive integers"):
+        build_chain(S, [0, 4])
+    with pytest.raises(DomainError, match="no partition of length 8 exists"):
+        build_chain(S, BaseSequence((2, 8)))
+    assert build_chain(S, BaseSequence((2, 4))) == build_chain(S, [2, 4])
 
 
 def test_validate_chain_reports():

@@ -22,6 +22,7 @@ from adicdyn import (
     enumerate_compatible,
     enumerate_factor_maps,
     ess_of_odometer,
+    extract_regular_sequence,
     ess_periods,
     factor_report,
     fiber,
@@ -40,7 +41,6 @@ from adicdyn import (
     translate,
     trivial_partition,
     truncate,
-    RegularSeq,
 )
 
 import helpers
@@ -115,6 +115,12 @@ def test_label_is_an_adic_int():
     x = F.label(3)
     assert x.base == F.target
     assert x.residues == F.labels[3]
+
+
+def test_target_is_built_once_per_map():
+    S = helpers.system_of_type((12,))
+    F = build_factor_map(S, chain_of(S, [2, 4]))
+    assert F.label(3).base is F.label(5).base is F.target
 
 
 def test_equivariance_over_a_corpus():
@@ -268,7 +274,7 @@ def test_refinement_iff_compatible_and_dominating():
         F2 = build_factor_map(S, c2)
         lhs = refines(fiber_partition(F1), fiber_partition(F2))
         rhs = chains_compatible(c1, c2) and seq_dominates(
-            RegularSeq(c2.lengths), RegularSeq(c1.lengths)
+            BaseSequence(c2.lengths), BaseSequence(c1.lengths)
         )
         assert lhs == rhs, (c1.lengths, c2.lengths)
 
@@ -323,6 +329,13 @@ def test_max_factor_explicit_depth():
     base, F = max_odometer_factor(S, depth=4)
     assert base.depth == 4
     assert is_maximal_projection(F)
+
+
+def test_max_factor_returns_the_extracted_chain():
+    S = helpers.system_of_type((12, 24))
+    base, F = max_odometer_factor(S, depth=4)
+    assert sigma_of_system(S) == phi0(12)
+    assert base == F.target == extract_regular_sequence(phi0(12), 4)
 
 
 # ------------------------------------------------------------- uniqueness

@@ -13,7 +13,7 @@ from adicdyn import (
     TOP,
     DomainError,
     ParseError,
-    RegularSeq,
+    BaseSequence,
     Supernatural,
     extract_regular_sequence,
     format_supernatural,
@@ -369,24 +369,35 @@ def test_divisibility_matches_order_exhaustive():
 
 
 def test_regular_seq_requires_divisibility():
-    RegularSeq((2, 4, 12))
+    BaseSequence((2, 4, 12))
     with pytest.raises(DomainError):
-        RegularSeq((2, 3))
+        BaseSequence((2, 3))
     with pytest.raises(DomainError):
-        RegularSeq(())
+        BaseSequence(())
     with pytest.raises(DomainError):
-        RegularSeq((0, 2))
+        BaseSequence((0, 2))
+
+
+def test_one_divisibility_chain_type():
+    import adicdyn
+    from adicdyn import odometer, supernatural
+
+    assert supernatural.RegularSeq is supernatural.BaseSequence is odometer.BaseSequence
+    assert adicdyn.BaseSequence is BaseSequence
+    assert adicdyn.format_base is supernatural.format_base
+    assert not hasattr(adicdyn, "RegularSeq") and "RegularSeq" not in adicdyn.__all__
+    assert str(extract_regular_sequence(phi0(12), 3)) == "2,12,12"
 
 
 def test_extract_example():
     seq = extract_regular_sequence(phi0(12), 5)
-    assert tuple(seq) == (2, 12, 12, 12, 12)
+    assert seq.levels == (2, 12, 12, 12, 12)
 
 
 def test_extract_converges_to_finite_targets():
     R = phi0(360)
     seq = extract_regular_sequence(R, 8)
-    vals = tuple(seq)
+    vals = seq.levels
     assert vals[-1] == 360
     assert phi_of_set(vals) == R
 
@@ -394,7 +405,7 @@ def test_extract_converges_to_finite_targets():
 def test_subsequence_keeping_last_term_has_same_span():
     # in a divisibility chain the last term swallows the rest, so any
     # subsequence that retains it spans the same supernatural
-    vals = tuple(extract_regular_sequence(phi0(360), 7))
+    vals = extract_regular_sequence(phi0(360), 7).levels
     full = phi_of_set(vals)
     for r in range(len(vals)):
         for combo in itertools.combinations(range(len(vals) - 1), r):
@@ -404,7 +415,7 @@ def test_subsequence_keeping_last_term_has_same_span():
 
 def test_extract_approaches_infinite_exponents():
     R = parse_supernatural("2^inf*3")
-    vals = tuple(extract_regular_sequence(R, 6))
+    vals = extract_regular_sequence(R, 6).levels
     # every term divides the next and stays inside R
     for v in vals:
         assert regular_contains(R, v)
@@ -422,8 +433,8 @@ def test_extract_output_is_regular_and_dominated(a, depth):
     if a.default is INF:
         return
     seq = extract_regular_sequence(a, depth)
-    assert len(seq) == depth
-    assert leq(phi_of_set(tuple(seq)), a)
+    assert seq.depth == depth
+    assert leq(phi_of_set(seq.levels), a)
 
 
 @given(tables(), st.integers(min_value=1, max_value=7))
@@ -431,16 +442,16 @@ def test_extract_output_is_a_valid_chain(x, depth):
     if x[1] is INF:
         return
     seq = extract_regular_sequence(_value(x), depth)
-    assert RegularSeq(seq.terms) == seq
+    assert BaseSequence(seq.levels) == seq
 
 
 def test_seq_dominates():
-    a = RegularSeq((2, 4, 8))
+    a = BaseSequence((2, 4, 8))
     assert seq_dominates(a, a)
-    assert seq_dominates(a, RegularSeq((6, 24, 48)))
-    assert not seq_dominates(RegularSeq((3, 9)), a)
-    assert seq_dominates(RegularSeq((1,)), a)
-    assert not seq_dominates(a, RegularSeq((1,)))
+    assert seq_dominates(a, BaseSequence((6, 24, 48)))
+    assert not seq_dominates(BaseSequence((3, 9)), a)
+    assert seq_dominates(BaseSequence((1,)), a)
+    assert not seq_dominates(a, BaseSequence((1,)))
 
 
 @given(supernaturals(), st.integers(min_value=1, max_value=5),
