@@ -3,9 +3,11 @@
 A periodic partition of length m is an ordered family W_0..W_{m-1} of
 nonempty, pairwise disjoint sets covering all points with f(W_{i-1}) = W_i
 cyclically.  Equivalently: a labeling c with c(f(x)) = c(x) + 1 mod m whose
-classes are all nonempty.  A PeriodicPartition is stored as that labeling,
-so the constructions below are label arithmetic, checked once by the
-PeriodicPartition constructor.
+classes are all nonempty.  The labels step by one along each cycle, so a
+PeriodicPartition holds m and the label of each cycle's first point: these
+offsets are the closed form of the labeling, not a second representation.
+A labeling from outside is checked once; every construction below is
+arithmetic on the offsets, O(cycles) rather than O(points).
 
 The brute-force oracle all_partitions only relies on the defining clauses;
 the faster formulas (ess_periods, the compatibility criterion, the
@@ -54,20 +56,33 @@ class FinSystem:
     def cycles(self) -> tuple:
         """Cycles in f-order, each starting at its smallest point,
         listed by smallest point ascending."""
-        seen = set()
+        fwd = self.forward
+        seen = bytearray(self.size)
         out = []
         for start in range(self.size):
-            if start in seen:
+            if seen[start]:
                 continue
             cyc = [start]
-            seen.add(start)
-            y = self.forward[start]
+            seen[start] = 1
+            y = fwd[start]
             while y != start:
                 cyc.append(y)
-                seen.add(y)
-                y = self.forward[y]
+                seen[y] = 1
+                y = fwd[y]
             out.append(tuple(cyc))
         return tuple(out)
+
+    @cached_property
+    def _position(self) -> tuple:
+        """_position[x] is the index of x in the concatenated cycles."""
+        pos = [0] * self.size
+        for i, x in enumerate(itertools.chain.from_iterable(self.cycles)):
+            pos[x] = i
+        return tuple(pos)
+
+    @cached_property
+    def _period_gcd(self) -> int:
+        return math.gcd(*map(len, self.cycles))
 
     @cached_property
     def _cycle_index(self) -> tuple:
@@ -137,7 +152,7 @@ def parse_cycles(text: str, size: int | None = None) -> FinSystem:
         raise ParseError("declared size is smaller than the largest point id")
     if size is None and len(seen) != max_point + 1:
         # fixed points may only be left out when the size is explicit
-        missing = min(set(range(max_point + 1)) - seen)
+        missing = next(v for v in range(max_point + 1) if v not in seen)
         raise ParseError(f"point {missing} is missing (pass size= to omit fixed points)")
     if n < 1:
         raise ParseError("empty system")
@@ -190,9 +205,8 @@ def validate_partition(system: FinSystem, blocks) -> PartitionReport:
             nonempty = False
             problems.append(f"block {i} is empty")
 
-    in_range = all(
-        type(x) is int and 0 <= x < system.size for b in blocks for x in b
-    )
+    n = system.size
+    in_range = all(type(x) is int and 0 <= x < n for b in blocks for x in b)
     if not in_range:
         problems.append("point ids out of range")
 
@@ -202,7 +216,7 @@ def validate_partition(system: FinSystem, blocks) -> PartitionReport:
     if not disjoint:
         problems.append("blocks overlap")
 
-    covers = in_range and union == set(range(system.size))
+    covers = in_range and union == set(range(n))
     if not covers:
         problems.append("blocks do not cover the space exactly")
 
@@ -210,7 +224,7 @@ def validate_partition(system: FinSystem, blocks) -> PartitionReport:
     cyclic = bool(blocks) and in_range
     if cyclic:
         for i in range(m):
-            image = frozenset(system.forward[x] for x in blocks[i])
+            image = frozenset(map(system.forward.__getitem__, blocks[i]))
             if image != blocks[(i + 1) % m]:
                 cyclic = False
                 problems.append(f"f(W_{i}) != W_{(i + 1) % m}")
@@ -224,19 +238,29 @@ def validate_partition(system: FinSystem, blocks) -> PartitionReport:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PeriodicPartition:
-    """An ordered periodic partition W_0..W_{m-1}, stored as its labeling:
-    labels[x] is the index of the block holding x, and m = max(labels) + 1.
+    """An ordered periodic partition W_0..W_{m-1}, held as the closed form of
+    its labeling: offsets[i] is the index of the block holding
+    system.cycles[i][0], and the point t steps further round that cycle is
+    in block (offsets[i] + t) mod m.  .labels, .blocks and key() are derived
+    on demand; equality is equality of labelings.
 
-    The constructor checks the labeling clause c(f(x)) = c(x) + 1 mod m at
-    every point.  No block can then be empty: the wrap-around around a cycle
-    forces its length to be a multiple of m, so every cycle walks through
-    all m labels.  Block lists from outside go through from_blocks.
+    PeriodicPartition(system, labels) checks the labeling clause
+    c(f(x)) = c(x) + 1 mod m at every point, with m = max(labels) + 1.  No
+    block can then be empty: the wrap-around around a cycle forces its
+    length to be a multiple of m, so every cycle walks through all m labels.
+    Block lists from outside go through from_blocks.
     """
 
     system: FinSystem
-    labels: tuple = ()
+    length: int
+    offsets: tuple
+
+    def __init__(self, system: FinSystem, labels):
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "labels", labels)
+        self.__post_init__()
 
     def __post_init__(self):
         labels = tuple(self.labels)
@@ -246,12 +270,14 @@ class PeriodicPartition:
             raise DomainError(f"{len(labels)} labels for {len(fwd)} points")
         if set(map(type, labels)) != {int} or min(labels) < 0:
             raise DomainError("labels are nonnegative integers")
-        m = self.length
+        m = max(labels) + 1
         if m > len(labels):  # every cycle length is a multiple of m
             raise DomainError(f"{m} blocks on {len(labels)} points")
         succ = [*range(1, m), 0]  # succ[c] = c + 1 mod m
         if list(map(succ.__getitem__, labels)) != list(map(labels.__getitem__, fwd)):
             raise DomainError(f"labels do not step by one mod {m} along f")
+        object.__setattr__(self, "length", m)
+        object.__setattr__(self, "offsets", tuple(labels[c[0]] for c in self.system.cycles))
 
     @classmethod
     def from_blocks(cls, system: FinSystem, blocks) -> PeriodicPartition:
@@ -264,8 +290,13 @@ class PeriodicPartition:
         return cls(system, _labels_of_blocks(system, blocks))
 
     @cached_property
-    def length(self) -> int:
-        return max(self.labels) + 1
+    def labels(self) -> tuple:
+        """labels[x] is the index of the block holding x."""
+        m = self.length
+        flat = []  # the labels of the concatenated cycles
+        for cyc, o in zip(self.system.cycles, self.offsets):
+            flat += [*range(o, m), *range(o)] * (len(cyc) // m)
+        return tuple(map(flat.__getitem__, self.system._position))
 
     @cached_property
     def blocks(self) -> tuple:
@@ -279,10 +310,18 @@ class PeriodicPartition:
     def key(self):
         """The ordered block list with each block ascending: a sortable
         canonical snapshot."""
-        out = [[] for _ in range(self.length)]
-        for x, c in enumerate(self.labels):
-            out[c].append(x)
-        return tuple(map(tuple, out))
+        # a stable sort by label lists the blocks in turn, each ascending; each
+        # holds size / m points, as every cycle meets it len(cycle) / m times
+        order = sorted(range(self.system.size), key=self.labels.__getitem__)
+        return tuple(zip(*[iter(order)] * (self.system.size // self.length)))
+
+
+def _trusted(system: FinSystem, m: int, offsets) -> PeriodicPartition:
+    """The length-m partition with offsets right by construction (each below
+    m, every cycle length a multiple of m); no per-point check."""
+    P = object.__new__(PeriodicPartition)
+    P.__dict__.update(system=system, length=m, offsets=tuple(offsets))
+    return P
 
 
 def _labels_of_blocks(system: FinSystem, blocks) -> tuple:
@@ -300,20 +339,17 @@ def blocks_json(P: PeriodicPartition) -> list:
 
 
 def trivial_partition(S: FinSystem) -> PeriodicPartition:
-    return PeriodicPartition(S, (0,) * S.size)
+    return _trusted(S, 1, (0,) * len(S.cycles))
 
 
 def canonical_partition(S: FinSystem, m: int) -> PeriodicPartition:
     """The reference length-m partition: each cycle's smallest point in block 0."""
     if not isinstance(m, int) or m < 1:
         raise DomainError("length must be a positive integer")
-    labels = [0] * S.size
     for cyc in S.cycles:
         if len(cyc) % m:
             raise DomainError(f"no partition of length {m} exists (cycle of length {len(cyc)})")
-        for t, x in enumerate(cyc):
-            labels[x] = t % m
-    return PeriodicPartition(S, labels)
+    return _trusted(S, m, (0,) * len(S.cycles))
 
 
 def all_partitions(S: FinSystem, m: int, bound: int = 12) -> list:
@@ -363,10 +399,7 @@ def all_partitions(S: FinSystem, m: int, bound: int = 12) -> list:
 
 
 def period_gcd(S: FinSystem) -> int:
-    g = 0
-    for cyc in S.cycles:
-        g = math.gcd(g, len(cyc))
-    return g
+    return S._period_gcd
 
 
 def ess_periods(S: FinSystem):
@@ -386,7 +419,7 @@ def ess_periods(S: FinSystem):
 def _require_period(S: FinSystem, m) -> None:
     """Refuse m unless it is a partition length of S: a divisor of the gcd
     of the cycle lengths (see ess_periods)."""
-    if not (isinstance(m, int) and m >= 1 and period_gcd(S) % m == 0):
+    if not (type(m) is int and m >= 1 and period_gcd(S) % m == 0):
         raise DomainError(f"no partition of length {m} exists")
 
 
@@ -405,14 +438,14 @@ def cyclic_shift(P: PeriodicPartition, k: int) -> PeriodicPartition:
     k %= m
     if k == 0:
         return P
-    return PeriodicPartition(P.system, [(c - k) % m for c in P.labels])
+    return _trusted(P.system, m, [(o - k) % m for o in P.offsets])
 
 
 def _rotation_key(P: PeriodicPartition) -> tuple:
-    """The labels shifted so that point 0 is in block 0: equal exactly for
-    the cyclic shifts of one partition."""
-    m, r = P.length, P.labels[0]
-    return tuple((c - r) % m for c in P.labels)
+    """The offsets shifted so that point 0 (first of the first cycle) is in
+    block 0: equal exactly for the cyclic shifts of one partition."""
+    m, r = P.length, P.offsets[0]
+    return tuple((o - r) % m for o in P.offsets)
 
 
 def are_equivalent(P1: PeriodicPartition, P2: PeriodicPartition) -> bool:
@@ -428,7 +461,7 @@ def coarsen(P: PeriodicPartition, d: int) -> PeriodicPartition:
     """Merge blocks with indices congruent mod d into a length-d partition."""
     if not isinstance(d, int) or d < 1 or P.length % d:
         raise DomainError(f"{d} does not divide the length {P.length}")
-    return PeriodicPartition(P.system, [c % d for c in P.labels])
+    return _trusted(P.system, d, [o % d for o in P.offsets])
 
 
 def saturation(P1: PeriodicPartition, k: int, P2: PeriodicPartition, l: int) -> frozenset:
@@ -456,13 +489,14 @@ def constant_label_offset(P1: PeriodicPartition, P2: PeriodicPartition):
 
     The saturation of W1_k ∩ W2_l is exactly the set of points whose label
     difference is l - k mod d, so every saturation being empty-or-everything
-    is the same as this difference being constant.
+    is the same as this difference being constant.  Along a cycle both
+    labels step by one, so the difference mod d is that of the offsets.
     """
     if P1.system != P2.system:
         raise DomainError("partitions live on different systems")
     d = math.gcd(P1.length, P2.length)
-    offsets = set(map(d.__rmod__, map(int.__sub__, P2.labels, P1.labels)))
-    return offsets.pop() if len(offsets) == 1 else None
+    diffs = {(b - a) % d for a, b in zip(P1.offsets, P2.offsets)}
+    return diffs.pop() if len(diffs) == 1 else None
 
 
 def are_compatible(P1: PeriodicPartition, P2: PeriodicPartition) -> bool:
@@ -484,18 +518,19 @@ def lcm_partition(P1: PeriodicPartition, P2: PeriodicPartition) -> PeriodicParti
     """The common refinement of a compatible pair, of length lcm(m1, m2).
 
     Labels are fixed by both congruences relative to point 0, so block 0
-    contains the smallest point id.
+    contains the smallest point id.  A step along a cycle adds one to both
+    residues and so to the label: the offsets are the CRT solutions.
     """
     delta = constant_label_offset(P1, P2)
     if delta is None:
         raise DomainError("partitions are not compatible")
     m1, m2 = P1.length, P2.length
-    r1, r2 = P1.labels[0], P2.labels[0]
-    labels = [
+    r1, r2 = P1.offsets[0], P2.offsets[0]
+    offsets = [
         _crt((a - r1) % m1, m1, (b - r2) % m2, m2)
-        for a, b in zip(P1.labels, P2.labels)
+        for a, b in zip(P1.offsets, P2.offsets)
     ]
-    return PeriodicPartition(P1.system, labels)
+    return _trusted(P1.system, math.lcm(m1, m2), offsets)
 
 
 def make_compatible(P1: PeriodicPartition, m2: int) -> PeriodicPartition:
@@ -509,19 +544,15 @@ def make_compatible(P1: PeriodicPartition, m2: int) -> PeriodicPartition:
     On a cycle whose first point has P1-label a, the point u steps further
     on lies in that union iff u = -a mod m1 and u mod m2 = -a mod gcd, that
     is iff u = t mod lcm for the CRT solution t; the fold then gives it the
-    label (u - t) mod m2.
+    label (u - t) mod m2, so the cycle's offset is -t mod m2.
     """
     S = P1.system
     _require_period(S, m2)
     m1 = P1.length
     d = math.gcd(m1, m2)
-    labels = [0] * S.size
-    for cyc in S.cycles:
-        a = P1.labels[cyc[0]]
-        t = _crt(-a % m1, m1, -a % d, m2)
-        for u, x in enumerate(cyc):
-            labels[x] = (u - t) % m2
-    return PeriodicPartition(S, labels)
+    return _trusted(
+        S, m2, [-_crt(-a % m1, m1, -a % d, m2) % m2 for a in P1.offsets]
+    )
 
 
 def enumerate_compatible(P1: PeriodicPartition, m2: int) -> list:
@@ -536,20 +567,13 @@ def enumerate_compatible(P1: PeriodicPartition, m2: int) -> list:
     """
     S = P1.system
     _require_period(S, m2)
-    m1 = P1.length
-    d = math.gcd(m1, m2)
-    cycles = S.cycles
-    anchor = [P1.labels[cyc[0]] for cyc in cycles]
+    d = math.gcd(P1.length, m2)
+    anchor = P1.offsets
     found = []
     for o1 in range(m2):
         delta = (o1 - anchor[0]) % d
         per_cycle = [[o1]] + [range((a + delta) % d, m2, d) for a in anchor[1:]]
-        for offsets in itertools.product(*per_cycle):
-            labels = [0] * S.size
-            for cyc, off in zip(cycles, offsets):
-                for t, x in enumerate(cyc):
-                    labels[x] = (off + t) % m2
-            found.append(PeriodicPartition(S, labels))
+        found += (_trusted(S, m2, offs) for offs in itertools.product(*per_cycle))
     found.sort(key=PeriodicPartition.key)
     class_ids = {}
     return [
@@ -666,7 +690,9 @@ def validate_chain(system: FinSystem, levels) -> ChainReport:
     refinement = divides
     if divides:
         for i, (A, B) in enumerate(zip(parts, parts[1:])):
-            if not refines(B.labels, A.labels):
+            # A.length divides B.length, so B's label fixes A's exactly when
+            # the label difference is constant mod A.length
+            if constant_label_offset(A, B) is None:
                 refinement = False
                 problems.append(f"level {i + 1} does not refine level {i} blockwise")
     return ChainReport(
@@ -675,11 +701,13 @@ def validate_chain(system: FinSystem, levels) -> ChainReport:
 
 
 def build_chain(S: FinSystem, lengths) -> PartitionChain:
-    """A deterministic chain with the given lengths, by iterated make_compatible."""
+    """A deterministic chain with the given lengths, by iterated make_compatible
+    (which gives back an equal level for a repeated length: that one is reused)."""
     parts = []
     prev = trivial_partition(S)
     for n in _period_base(S, lengths).levels:
-        prev = make_compatible(prev, n)
+        if n != prev.length:
+            prev = make_compatible(prev, n)
         parts.append(prev)
     return PartitionChain(tuple(parts))
 
@@ -756,6 +784,7 @@ def partition_from_return(S: FinSystem, x: int, U):
         n for n in range(1, L + 1)
         if L % n == 0 and all(y in U for y in walk[::n])
     )
-    T, pts = cycle_subsystem(S, x)
-    steps = {y: u for u, y in enumerate(walk)}
-    return m, PeriodicPartition(T, [steps[p] % m for p in pts])
+    # T's one cycle starts at the smallest point, cyc[0], which lies L - i
+    # steps after x
+    T, _ = cycle_subsystem(S, x)
+    return m, _trusted(T, m, ((L - i) % m,))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .dynsys import FinSystem, PeriodicPartition
+from .dynsys import FinSystem, PeriodicPartition, canonical_partition
 from .errors import DomainError, ParseError
 from .supernatural import BaseSequence, Supernatural, format_base, phi0
 
@@ -142,9 +142,8 @@ def level_partition(base: BaseSequence, k: int) -> PeriodicPartition:
     """Level-k cylinders as a periodic partition of the full-depth truncation."""
     if not 1 <= k <= base.depth:
         raise DomainError(f"level {k} out of range 1..{base.depth}")
-    nk = base.levels[k - 1]
-    labels = [z % nk for z in range(base.levels[-1])]
-    return PeriodicPartition(truncate(base, base.depth), labels)
+    # on the one cycle 0 -> 1 -> ... of the truncation, z lies in cylinder z mod n_k
+    return canonical_partition(truncate(base, base.depth), base.levels[k - 1])
 
 
 def ess_of_odometer(base: BaseSequence) -> Supernatural:

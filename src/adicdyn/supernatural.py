@@ -303,7 +303,7 @@ class BaseSequence:
         if not levels:
             raise DomainError("a base needs at least one level")
         for n in levels:
-            if not isinstance(n, int) or n < 1:
+            if type(n) is not int or n < 1:
                 raise DomainError(f"bad level {n!r}: levels are positive integers")
         for a, b in zip(levels, levels[1:]):
             if b % a:

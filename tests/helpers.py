@@ -10,7 +10,13 @@ import random
 from functools import lru_cache
 from math import gcd, lcm
 
-from adicdyn import Comparison, FinSystem, canonical_partition, compare_projections
+from adicdyn import (
+    Comparison,
+    FinSystem,
+    PeriodicPartition,
+    canonical_partition,
+    compare_projections,
+)
 
 
 def divisors(n):
@@ -105,6 +111,27 @@ def make_compatible_reference(P1, m2):
         folded[s % m2] |= layer
         layer = {S.apply(x) for x in layer}
     return [sorted(b) for b in folded]
+
+
+def lcm_labels_reference(P1, P2):
+    """lcm_partition's labels as its docstring states them, point by point:
+    the s < lcm(m1, m2) with s = c1(x) - c1(0) mod m1 and s = c2(x) - c2(0)
+    mod m2, read off a table of every s."""
+    m1, m2 = P1.length, P2.length
+    solution = {(s % m1, s % m2): s for s in range(lcm(m1, m2))}
+    c1, c2 = P1.labels, P2.labels
+    return [solution[(c1[x] - c1[0]) % m1, (c2[x] - c2[0]) % m2] for x in range(len(c1))]
+
+
+def random_partition(S, m, rng):
+    """A length-m partition with a random label for each cycle's first
+    point, built point by point through the checked constructor."""
+    labels = [0] * S.size
+    for cyc in S.cycles:
+        o = rng.randrange(m)
+        for t, x in enumerate(cyc):
+            labels[x] = (o + t) % m
+    return PeriodicPartition(S, labels)
 
 
 def pairwise_classes(maps):

@@ -1,6 +1,7 @@
 """End-to-end command dispatch: golden outputs, exit codes, JSON stability."""
 
 import json
+import resource
 import subprocess
 import sys
 
@@ -215,6 +216,22 @@ def test_large_numbers_answer_in_bounded_time():
         )
         assert proc.returncode == code, (argv, proc.stderr)
         assert proc.stdout == out
+
+
+def test_missing_point_is_named_in_bounded_memory():
+    # naming the missing point once built the whole range of point ids
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "adicdyn.cli", "ess", "(0 30000000)"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "point 1 is missing" in proc.stderr
 
 
 def test_boolean_point_ids_are_parse_errors(capsys):

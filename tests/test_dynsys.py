@@ -1,7 +1,7 @@
 """Periodic partitions: oracle, compatibility calculus, chains, return times."""
 
 import itertools
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +39,7 @@ from adicdyn import (
     validate_chain,
     validate_partition,
 )
+from adicdyn.dynsys import refines
 
 import helpers
 
@@ -519,7 +520,7 @@ def test_make_compatible_rejects_length_not_in_ess():
 
 def test_make_compatible_rejects_non_int_length():
     S = helpers.system_of_type((2, 2))
-    for m in (2.0, "2", None, 0, -2):
+    for m in (2.0, "2", None, 0, -2, True):
         with pytest.raises(DomainError, match=f"no partition of length {m} exists"):
             make_compatible(trivial_partition(S), m)
         with pytest.raises(DomainError, match=f"no partition of length {m} exists"):
@@ -673,6 +674,8 @@ def test_chain_lengths_are_checked_as_one_base():
         build_chain(S, [])
     with pytest.raises(DomainError, match="bad level 0: levels are positive integers"):
         build_chain(S, [0, 4])
+    with pytest.raises(DomainError, match="bad level True: levels are positive integers"):
+        build_chain(S, [True, 2])
     with pytest.raises(DomainError, match="no partition of length 8 exists"):
         build_chain(S, BaseSequence((2, 8)))
     assert build_chain(S, BaseSequence((2, 4))) == build_chain(S, [2, 4])
@@ -798,6 +801,85 @@ def test_return_partition_matches_definition(seed):
         layer = {T.apply(z) for z in layer}
     m, Q = partition_from_return(S, x, U)
     assert (m, blocks_json(Q)) == (want_m, want_blocks)
+
+
+# ------------------------------------------- closed forms vs definitions
+
+
+def cross_check_systems():
+    """Random systems of at most 12 points, and a few of thousands."""
+    rng = helpers.seeded(606)
+    small = [helpers.random_periodic_system(12, rng) for _ in range(80)]
+    large = [
+        helpers.random_conjugate(helpers.system_of_type(parts), rng)
+        for parts in [(2520,), (840, 1680, 2520), (12,) * 300, (6, 12, 18) * 150]
+    ]
+    return [(S, True) for S in small] + [(S, False) for S in large]
+
+
+def test_offset_constructions_pass_the_labeling_check(monkeypatch):
+    # every partition a construction returns is the one the checked
+    # constructor builds from its labels; none runs the check itself
+    rng = helpers.seeded(607)
+    built = []
+    calls = []
+    check = PeriodicPartition.__post_init__
+    monkeypatch.setattr(PeriodicPartition, "__post_init__", lambda P: calls.append(P))
+    for S, small in cross_check_systems():
+        periods = sorted(ess_periods(S)[0])
+        top = periods[-1]
+        if small:
+            for m in set(range(1, S.size + 1)) - set(periods):
+                with pytest.raises(DomainError, match=f"no partition of length {m}"):
+                    canonical_partition(S, m)
+        else:
+            periods = rng.sample(periods, min(4, len(periods)))
+        for m1 in periods:
+            C = canonical_partition(S, m1)
+            P1 = cyclic_shift(C, rng.randrange(m1))
+            built += [C, P1] + [coarsen(P1, d) for d in helpers.divisors(m1)]
+            for m2 in periods:
+                Q = make_compatible(P1, m2)
+                built += [Q, lcm_partition(P1, Q)]
+                if small and m2 ** len(S.cycles) <= 200:
+                    built += [P for P, _ in enumerate_compatible(P1, m2)]
+        chains = helpers.saturated_chains(top)
+        for lengths in rng.sample(chains, min(3, len(chains))):
+            built += build_chain(S, lengths + lengths[-1:]).partitions
+    assert calls == []
+    monkeypatch.setattr(PeriodicPartition, "__post_init__", check)
+    for P in built:
+        assert PeriodicPartition(P.system, P.labels) == P
+
+
+def test_lcm_labels_match_the_pointwise_crt():
+    rng = helpers.seeded(608)
+    for S, small in cross_check_systems():
+        periods = sorted(ess_periods(S)[0])
+        for _ in range(20 if small else 3):
+            m1, m2 = rng.choice(periods), rng.choice(periods)
+            P1 = helpers.random_partition(S, m1, rng)
+            Q = make_compatible(P1, m2)
+            R = lcm_partition(P1, Q)
+            assert list(R.labels) == helpers.lcm_labels_reference(P1, Q)
+
+
+def test_label_offset_and_refinement_match_their_definitions():
+    rng = helpers.seeded(609)
+    for S, small in cross_check_systems():
+        periods = sorted(ess_periods(S)[0])
+        for _ in range(20 if small else 3):
+            m1, m2 = rng.choice(periods), rng.choice(periods)
+            P1, P2 = (helpers.random_partition(S, m, rng) for m in (m1, m2))
+            d = gcd(m1, m2)
+            diffs = {(b - a) % d for a, b in zip(P1.labels, P2.labels)}
+            want = diffs.pop() if len(diffs) == 1 else None
+            assert constant_label_offset(P1, P2) == want
+            # a two-level chain, coarse level first, as validate_chain gets it
+            A, B = sorted((P1, P2), key=lambda P: P.length)
+            if B.length % A.length == 0:
+                rep = validate_chain(S, [blocks_json(A), blocks_json(B)])
+                assert rep.blockwise_refinement == refines(B.labels, A.labels)
 
 
 # ------------------------------------------------------------- property mix

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,7 @@ from adicdyn import (
     Comparison,
     DomainError,
     PartitionChain,
+    PeriodicPartition,
     all_partitions,
     almost_periodic_points,
     are_equivalent,
@@ -42,6 +44,7 @@ from adicdyn import (
     trivial_partition,
     truncate,
 )
+from adicdyn import dynsys
 
 import helpers
 
@@ -336,6 +339,28 @@ def test_max_factor_returns_the_extracted_chain():
     base, F = max_odometer_factor(S, depth=4)
     assert sigma_of_system(S) == phi0(12)
     assert base == F.target == extract_regular_sequence(phi0(12), 4)
+
+
+def test_max_factor_builds_each_length_once(monkeypatch):
+    # the default depth repeats the top level five times; each distinct
+    # length is built once, and no level goes through the per-point check
+    calls = Counter()
+    make, check = dynsys.make_compatible, PeriodicPartition.__post_init__
+
+    def counted_make(P, m):
+        calls["make_compatible"] += 1
+        return make(P, m)
+
+    def counted_check(P):
+        calls["check"] += 1
+        check(P)
+
+    monkeypatch.setattr(dynsys, "make_compatible", counted_make)
+    monkeypatch.setattr(PeriodicPartition, "__post_init__", counted_check)
+    base, F = max_odometer_factor(helpers.system_of_type((720720,)))
+    assert base.levels == (2, 36, 360, 5040, 55440) + (720720,) * 5
+    assert calls == {"make_compatible": 6}
+    assert is_maximal_projection(F) and F.labels[5] == (1, 5, 5, 5, 5) + (5,) * 5
 
 
 # ------------------------------------------------------------- uniqueness

@@ -376,6 +376,8 @@ def test_regular_seq_requires_divisibility():
         BaseSequence(())
     with pytest.raises(DomainError):
         BaseSequence((0, 2))
+    with pytest.raises(DomainError, match="bad level True"):
+        BaseSequence((True, 2))
 
 
 def test_one_divisibility_chain_type():
