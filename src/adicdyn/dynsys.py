@@ -46,13 +46,6 @@ class FinSystem:
         return len(self.forward)
 
     @cached_property
-    def backward(self) -> tuple:
-        inv = [0] * self.size
-        for x, y in enumerate(self.forward):
-            inv[y] = x
-        return tuple(inv)
-
-    @cached_property
     def cycles(self) -> tuple:
         """Cycles in f-order, each starting at its smallest point,
         listed by smallest point ascending."""
@@ -99,9 +92,6 @@ class FinSystem:
 
     def apply(self, x: int) -> int:
         return self.forward[x]
-
-    def inverse(self, x: int) -> int:
-        return self.backward[x]
 
     def iterate(self, x: int, n: int) -> int:
         """f^n(x) for any integer n (negative means the inverse)."""
@@ -287,7 +277,7 @@ class PeriodicPartition:
         report = validate_partition(system, blocks)
         if not report.ok:
             raise DomainError("not a periodic partition: " + "; ".join(report.problems))
-        return cls(system, _labels_of_blocks(system, blocks))
+        return _of_valid_blocks(system, blocks)
 
     @cached_property
     def labels(self) -> tuple:
@@ -304,8 +294,11 @@ class PeriodicPartition:
         return tuple(map(frozenset, self.key()))
 
     def index_of(self, x: int) -> int:
-        """The index of the block containing x."""
-        return self.labels[x]
+        """The index of the block containing x: its cycle's offset plus the
+        steps from that cycle's first point."""
+        S = self.system
+        i = S._cycle_index[x]
+        return (self.offsets[i] + S._position[x] - S._position[S.cycles[i][0]]) % self.length
 
     def key(self):
         """The ordered block list with each block ascending: a sortable
@@ -324,13 +317,12 @@ def _trusted(system: FinSystem, m: int, offsets) -> PeriodicPartition:
     return P
 
 
-def _labels_of_blocks(system: FinSystem, blocks) -> tuple:
-    """The labeling of a block list that validate_partition accepted."""
-    labels = [0] * system.size
-    for i, b in enumerate(blocks):
-        for x in b:
-            labels[x] = i
-    return tuple(labels)
+def _of_valid_blocks(system: FinSystem, blocks) -> PeriodicPartition:
+    """The partition of a block list (of frozensets) that validate_partition
+    accepted: each offset is the index of the block holding the cycle's
+    first point."""
+    offsets = [next(i for i, b in enumerate(blocks) if c[0] in b) for c in system.cycles]
+    return _trusted(system, len(blocks), offsets)
 
 
 def blocks_json(P: PeriodicPartition) -> list:
@@ -464,26 +456,6 @@ def coarsen(P: PeriodicPartition, d: int) -> PeriodicPartition:
     return _trusted(P.system, d, [o % d for o in P.offsets])
 
 
-def saturation(P1: PeriodicPartition, k: int, P2: PeriodicPartition, l: int) -> frozenset:
-    """The forward-orbit saturation A(k,l) of the block intersection.
-
-    The union of f^s(W1_k ∩ W2_l) for s up to lcm of the lengths; an
-    invariant set, empty exactly when the intersection is.
-    """
-    if P1.system != P2.system:
-        raise DomainError("partitions live on different systems")
-    if not (0 <= k < P1.length and 0 <= l < P2.length):
-        raise DomainError("block index out of range")
-    S = P1.system
-    D = math.lcm(P1.length, P2.length)
-    out = set()
-    layer = set(P1.blocks[k] & P2.blocks[l])
-    for _ in range(D):
-        out |= layer
-        layer = {S.forward[x] for x in layer}
-    return frozenset(out)
-
-
 def constant_label_offset(P1: PeriodicPartition, P2: PeriodicPartition):
     """The constant value of (c2 - c1) mod gcd(m1, m2), or None.
 
@@ -500,7 +472,8 @@ def constant_label_offset(P1: PeriodicPartition, P2: PeriodicPartition):
 
 
 def are_compatible(P1: PeriodicPartition, P2: PeriodicPartition) -> bool:
-    """True iff every saturation A(k,l) is empty or the whole space."""
+    """True iff every saturation A(k,l), the union of the forward images of
+    W1_k ∩ W2_l, is empty or the whole space."""
     return constant_label_offset(P1, P2) is not None
 
 
@@ -564,6 +537,13 @@ def enumerate_compatible(P1: PeriodicPartition, m2: int) -> list:
     candidate is compatible by construction.  Returns (partition, class_id)
     pairs, canonically ordered, where two partitions share a class id iff
     they are cyclic shifts of each other.
+
+    The canonical order (by key()) is decided by block 0, and offset o puts
+    cycle i's points cycles[i][-o % m2::m2] there, each offset its own.  So
+    two candidates' blocks 0 differ exactly on the cycles whose offsets
+    differ, and ascending equal-size sets compare by the least point of
+    their symmetric difference: the same order as the sorted least block-0
+    points of the cycles, low[i][o], compare in.
     """
     S = P1.system
     _require_period(S, m2)
@@ -573,17 +553,14 @@ def enumerate_compatible(P1: PeriodicPartition, m2: int) -> list:
     for o1 in range(m2):
         delta = (o1 - anchor[0]) % d
         per_cycle = [[o1]] + [range((a + delta) % d, m2, d) for a in anchor[1:]]
-        found += (_trusted(S, m2, offs) for offs in itertools.product(*per_cycle))
-    found.sort(key=PeriodicPartition.key)
+        found += itertools.product(*per_cycle)
+    low = [[min(c[-o % m2::m2]) for o in range(m2)] for c in S.cycles]
+    found.sort(key=lambda offs: sorted(map(list.__getitem__, low, offs)))
     class_ids = {}
     return [
-        (P, class_ids.setdefault(_rotation_key(P), len(class_ids))) for P in found
+        (P, class_ids.setdefault(_rotation_key(P), len(class_ids)))
+        for P in (_trusted(S, m2, offs) for offs in found)
     ]
-
-
-def invariant_components(S: FinSystem) -> list:
-    """The minimal nonempty invariant subsets: the cycles."""
-    return [frozenset(cyc) for cyc in S.cycles]
 
 
 def is_indecomposable(S: FinSystem) -> bool:
@@ -596,8 +573,8 @@ class PartitionChain:
     """Partitions of lengths n1 | n2 | ... | nL, consecutive levels compatible.
 
     Compatibility plus divisibility makes each level a blockwise refinement
-    of the one before, and pairwise compatibility of all levels follows;
-    validate_chain checks those derived facts explicitly.
+    of the one before (see refines), and pairwise compatibility of all
+    levels follows; validate_chain reports those derived facts.
     """
 
     partitions: tuple = ()
@@ -626,11 +603,14 @@ class PartitionChain:
         return tuple(P.length for P in self.partitions)
 
 
-def refines(fine, coarse) -> bool:
-    """Whether every class of the labeling fine lies inside one class of the
-    labeling coarse (labels are any hashable values, one per point)."""
-    image = {}
-    return all(image.setdefault(a, b) == b for a, b in zip(fine, coarse))
+def refines(fine: PeriodicPartition, coarse: PeriodicPartition) -> bool:
+    """Whether every block of fine lies inside one block of coarse.
+
+    Block indices then map Z/fine.length onto Z/coarse.length stepping by
+    one, so the coarse length divides the fine one and the label difference
+    is constant mod the coarse length; conversely those two give the map.
+    """
+    return fine.length % coarse.length == 0 and are_compatible(fine, coarse)
 
 
 @dataclass
@@ -659,12 +639,13 @@ def validate_chain(system: FinSystem, levels) -> ChainReport:
     parts = []
     levels_valid = True
     for i, blocks in enumerate(levels):
+        blocks = [frozenset(b) for b in blocks]
         report = validate_partition(system, blocks)
         if not report.ok:
             levels_valid = False
             problems.append(f"level {i}: " + "; ".join(report.problems))
         else:
-            parts.append(PeriodicPartition(system, _labels_of_blocks(system, blocks)))
+            parts.append(_of_valid_blocks(system, blocks))
     if not levels:
         levels_valid = False
         problems.append("empty chain")
@@ -676,27 +657,23 @@ def validate_chain(system: FinSystem, levels) -> ChainReport:
         if B.length % A.length:
             divides = False
             problems.append(f"{A.length} does not divide {B.length}")
-    consecutive = True
-    for i, (A, B) in enumerate(zip(parts, parts[1:])):
-        if not are_compatible(A, B):
-            consecutive = False
-            problems.append(f"levels {i} and {i + 1} are incompatible")
+    # with the lengths dividing, B refines A blockwise exactly when the pair
+    # is compatible (see refines): one test serves both checks
+    incompatible = [
+        i for i, (A, B) in enumerate(zip(parts, parts[1:])) if not are_compatible(A, B)
+    ]
+    problems += [f"levels {i} and {i + 1} are incompatible" for i in incompatible]
     pairwise = True
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             if not are_compatible(parts[i], parts[j]):
                 pairwise = False
                 problems.append(f"levels {i} and {j} are incompatible")
-    refinement = divides
     if divides:
-        for i, (A, B) in enumerate(zip(parts, parts[1:])):
-            # A.length divides B.length, so B's label fixes A's exactly when
-            # the label difference is constant mod A.length
-            if constant_label_offset(A, B) is None:
-                refinement = False
-                problems.append(f"level {i + 1} does not refine level {i} blockwise")
+        problems += [f"level {i + 1} does not refine level {i} blockwise" for i in incompatible]
+    consecutive = not incompatible
     return ChainReport(
-        levels_valid, divides, consecutive, pairwise, refinement, tuple(problems)
+        levels_valid, divides, consecutive, pairwise, divides and consecutive, tuple(problems)
     )
 
 
@@ -738,15 +715,6 @@ def extend_chain(chain: PartitionChain, m: int) -> PartitionChain:
                 chain.partitions[: i + 1] + (new,) + chain.partitions[i + 1 :]
             )
     raise DomainError(f"{m} does not fit the chain's divisibility ladder")
-
-
-def chains_compatible(c1: PartitionChain, c2: PartitionChain) -> bool:
-    """Every level of one compatible with every level of the other."""
-    if c1.system != c2.system:
-        raise DomainError("chains live on different systems")
-    return all(
-        are_compatible(A, B) for A in c1.partitions for B in c2.partitions
-    )
 
 
 def cycle_subsystem(S: FinSystem, x: int):

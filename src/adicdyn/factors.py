@@ -3,9 +3,11 @@
 A partition chain with lengths n1 | ... | nL labels every point by the
 index vector of the blocks containing it; once the chain is coherent (all
 zero blocks share a point) those vectors are coherent residue vectors and
-the labeling intertwines f with the odometer translation.  Fibers are the
-label preimages, and the family of all such maps is ordered by mutual
-fiber refinement.
+the labeling intertwines f with the odometer translation.  A FactorMap is
+the pair (source, chain) of such a coherent chain.  Coherence makes every
+level's label the finest label mod its length, so the label vectors are
+derived from the chain, the fibers are the blocks of the finest level, and
+the family of all such maps is ordered by refinement of those blocks.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from . import dynsys
 from .dynsys import (
     FinSystem,
     PartitionChain,
+    constant_label_offset,
     cyclic_shift,
     period_gcd,
     refines,
@@ -60,15 +63,20 @@ def normalize_coherent(chain: PartitionChain, x: int) -> PartitionChain:
 
 @dataclass(frozen=True)
 class FactorMap:
-    """A labeling of source points by coherent index vectors over the chain."""
+    """The map a coherent chain defines on the source: x goes to the vector
+    of the blocks holding it, one per level."""
 
     source: FinSystem
     chain: PartitionChain
-    labels: tuple = ()
 
     @cached_property
     def target(self) -> BaseSequence:
         return BaseSequence(self.chain.lengths)
+
+    @cached_property
+    def labels(self) -> tuple:
+        """labels[x] is the coherent index vector of x."""
+        return tuple(zip(*(P.labels for P in self.chain.partitions)))
 
     def label(self, x: int) -> AdicInt:
         """The image of x as a point of the target odometer."""
@@ -83,13 +91,12 @@ def build_factor_map(S: FinSystem, chain: PartitionChain) -> FactorMap:
     """
     if chain.system != S:
         raise DomainError("chain belongs to a different system")
-    labels = tuple(zip(*(P.labels for P in chain.partitions)))
-    # the vectors are coherent once the zero blocks share a point: each
-    # level refines the one before and agrees with it at that point
-    if (0,) * len(chain.partitions) not in labels:
+    # the zero blocks share a point exactly when each level's label is the
+    # next one's mod its length: every consecutive label offset is 0
+    parts = chain.partitions
+    if any(constant_label_offset(A, B) for A, B in zip(parts, parts[1:])):
         chain = normalize_coherent(chain, 0)
-        labels = tuple(zip(*(P.labels for P in chain.partitions)))
-    return FactorMap(S, chain, labels)
+    return FactorMap(S, chain)
 
 
 def fiber(F: FactorMap, vec) -> frozenset:
@@ -100,21 +107,8 @@ def fiber(F: FactorMap, vec) -> frozenset:
         residues = vec.residues
     else:
         residues = AdicInt(F.target, tuple(vec)).residues
-    return frozenset(x for x in range(F.source.size) if F.labels[x] == residues)
-
-
-def _fibers(F: FactorMap) -> dict:
-    """Label vector -> the ascending points carrying it, keyed in order of
-    first appearance."""
-    groups = {}
-    for x, lab in enumerate(F.labels):
-        groups.setdefault(lab, []).append(x)
-    return groups
-
-
-def fiber_partition(F: FactorMap) -> frozenset:
-    """The zer-partition: points grouped by label."""
-    return frozenset(map(frozenset, _fibers(F).values()))
+    # a coherent vector is fixed by its last residue, the finest label
+    return F.chain.partitions[-1].blocks[residues[-1]]
 
 
 class Comparison(enum.Enum):
@@ -127,13 +121,15 @@ class Comparison(enum.Enum):
 def compare_projections(F1: FactorMap, F2: FactorMap) -> Comparison:
     """Order two maps on the same source by mutual fiber refinement.
 
-    One map factors through another exactly when the other's fibers refine
-    its own; mutual refinement means the maps are equivalent.
+    One map factors through another exactly when the other's fibers, the
+    blocks of its finest level, refine its own; mutual refinement means the
+    maps are equivalent.
     """
     if F1.source != F2.source:
         raise DomainError("factor maps have different sources")
-    r12 = refines(F1.labels, F2.labels)
-    r21 = refines(F2.labels, F1.labels)
+    P1, P2 = F1.chain.partitions[-1], F2.chain.partitions[-1]
+    r12 = refines(P1, P2)
+    r21 = refines(P2, P1)
     if r12 and r21:
         return Comparison.EQUIVALENT
     if r12:
@@ -178,8 +174,9 @@ def enumerate_factor_maps(S: FinSystem, lengths) -> list:
     Chains are enumerated level by level through enumerate_compatible
     (seeded at the trivial partition, so the first level ranges over every
     partition of its length); maps are grouped by mutual factorization,
-    that is by equal fibers.  Returns a list of equivalence classes, each a
-    list of FactorMaps.
+    that is by equal fibers: finest levels of one length with the same
+    blocks, which are cyclic shifts of each other.  Returns a list of
+    equivalence classes, each a list of FactorMaps.
     """
     prefixes = [()]
     for n in dynsys._period_base(S, lengths).levels:
@@ -192,13 +189,15 @@ def enumerate_factor_maps(S: FinSystem, lengths) -> list:
     classes = {}
     for pref in prefixes:
         F = build_factor_map(S, PartitionChain(pref))
-        classes.setdefault(tuple(map(tuple, _fibers(F).values())), []).append(F)
+        classes.setdefault(dynsys._rotation_key(F.chain.partitions[-1]), []).append(F)
     return list(classes.values())
 
 
 def singleton_fiber_set(F: FactorMap) -> frozenset:
-    """The points over which the map is one-to-one."""
-    return frozenset(g[0] for g in _fibers(F).values() if len(g) == 1)
+    """The points over which the map is one-to-one: every fiber is a finest
+    block, of size/n_L points, so all of them or none."""
+    one_to_one = F.chain.lengths[-1] == F.source.size
+    return frozenset(range(F.source.size)) if one_to_one else frozenset()
 
 
 def almost_periodic_points(S: FinSystem) -> frozenset:
@@ -208,11 +207,12 @@ def almost_periodic_points(S: FinSystem) -> frozenset:
 
 def factor_report(F: FactorMap) -> dict:
     """The JSON-ready report with a stable key and element order."""
-    groups = _fibers(F)
+    labels = F.labels
+    fibers = sorted(F.chain.partitions[-1].key(), key=lambda b: labels[b[0]])
     return {
         "target_levels": list(F.chain.lengths),
-        "labels": {str(x): list(F.labels[x]) for x in range(F.source.size)},
-        "fibers": [groups[lab] for lab in sorted(groups)],
+        "labels": {str(x): list(labels[x]) for x in range(F.source.size)},
+        "fibers": [list(b) for b in fibers],
         "maximal": is_maximal_projection(F),
         "sigma_top": format_supernatural(sigma_of_system(F.source)),
     }

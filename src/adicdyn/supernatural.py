@@ -285,11 +285,6 @@ def phi_of_set(values) -> Supernatural:
     return out
 
 
-def regular_contains(R: Supernatural, a: int) -> bool:
-    """Membership of a positive integer in the regular set described by R."""
-    return leq(phi0(a), R)
-
-
 @dataclass(frozen=True)
 class BaseSequence:
     """A divisibility chain of levels n1 | n2 | ... | nK, the working depth K:
@@ -350,11 +345,6 @@ def extract_regular_sequence(R: Supernatural, depth: int) -> BaseSequence:
     seq = object.__new__(BaseSequence)  # a divisibility chain by construction
     object.__setattr__(seq, "levels", tuple(terms))
     return seq
-
-
-def seq_dominates(a: BaseSequence, b: BaseSequence) -> bool:
-    """True iff every level of a divides some level of b."""
-    return all(any(bj % ai == 0 for bj in b.levels) for ai in a.levels)
 
 
 def parse_supernatural(text: str) -> Supernatural:

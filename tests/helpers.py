@@ -3,7 +3,9 @@
 Small combinatorial generators: cycle types, systems built from them,
 divisor chains, and a seeded conjugation helper.  Everything here is
 brute-force and independent of the library's own enumeration code so the
-tests can cross-check against it.
+tests can cross-check against it.  The reference definitions below
+(saturation, refines on labelings, fiber_partition, ...) state a concept
+point by point, as the library's closed forms are checked against them.
 """
 
 import random
@@ -12,10 +14,14 @@ from math import gcd, lcm
 
 from adicdyn import (
     Comparison,
+    DomainError,
     FinSystem,
     PeriodicPartition,
+    are_compatible,
     canonical_partition,
     compare_projections,
+    leq,
+    phi0,
 )
 
 
@@ -121,6 +127,59 @@ def lcm_labels_reference(P1, P2):
     solution = {(s % m1, s % m2): s for s in range(lcm(m1, m2))}
     c1, c2 = P1.labels, P2.labels
     return [solution[(c1[x] - c1[0]) % m1, (c2[x] - c2[0]) % m2] for x in range(len(c1))]
+
+
+def saturation(P1, k, P2, l):
+    """The forward-orbit saturation A(k,l) of the block intersection: the
+    union of f^s(W1_k & W2_l) for s up to the lcm of the lengths."""
+    if P1.system != P2.system:
+        raise DomainError("partitions live on different systems")
+    if not (0 <= k < P1.length and 0 <= l < P2.length):
+        raise DomainError("block index out of range")
+    S = P1.system
+    out = set()
+    layer = set(P1.blocks[k] & P2.blocks[l])
+    for _ in range(lcm(P1.length, P2.length)):
+        out |= layer
+        layer = {S.apply(x) for x in layer}
+    return frozenset(out)
+
+
+def refines(fine, coarse):
+    """Whether every class of the labeling fine lies inside one class of the
+    labeling coarse (labels are any hashable values, one per point)."""
+    image = {}
+    return all(image.setdefault(a, b) == b for a, b in zip(fine, coarse))
+
+
+def fiber_partition(F):
+    """The fibers of a factor map: its points grouped by label."""
+    groups = {}
+    for x, lab in enumerate(F.labels):
+        groups.setdefault(lab, set()).add(x)
+    return frozenset(map(frozenset, groups.values()))
+
+
+def chains_compatible(c1, c2):
+    """Every level of one chain compatible with every level of the other."""
+    if c1.system != c2.system:
+        raise DomainError("chains live on different systems")
+    return all(are_compatible(A, B) for A in c1.partitions for B in c2.partitions)
+
+
+def invariant_components(S):
+    """The minimal nonempty invariant subsets: the cycles."""
+    return [frozenset(cyc) for cyc in S.cycles]
+
+
+def regular_contains(R, a):
+    """Membership of a positive integer in the regular set described by R."""
+    return leq(phi0(a), R)
+
+
+def seq_dominates(a, b):
+    """True iff every level of the base a divides some level of the base b."""
+    return all(any(bj % ai == 0 for bj in b.levels) for ai in a.levels)
 
 
 def random_partition(S, m, rng):

@@ -18,7 +18,6 @@ from adicdyn import (
     blocks_json,
     build_chain,
     canonical_partition,
-    chains_compatible,
     coarsen,
     constant_label_offset,
     cycle_subsystem,
@@ -28,20 +27,17 @@ from adicdyn import (
     extend_chain,
     format_cycles,
     format_supernatural,
-    invariant_components,
     is_indecomposable,
     lcm_partition,
     make_compatible,
     parse_cycles,
     partition_from_return,
-    saturation,
     trivial_partition,
     validate_chain,
     validate_partition,
 )
-from adicdyn.dynsys import refines
-
 import helpers
+from helpers import chains_compatible, invariant_components, refines, saturation
 
 
 def P(system, *blocks):
@@ -95,7 +91,6 @@ def test_iterate_both_directions():
     S = parse_cycles("(0 1 2 3 4)")
     assert S.iterate(0, 7) == 2
     assert S.iterate(0, -1) == 4
-    assert S.inverse(0) == 4
     assert S.iterate(3, 0) == 3
 
 
@@ -880,6 +875,45 @@ def test_label_offset_and_refinement_match_their_definitions():
             if B.length % A.length == 0:
                 rep = validate_chain(S, [blocks_json(A), blocks_json(B)])
                 assert rep.blockwise_refinement == refines(B.labels, A.labels)
+
+
+def test_enumerate_compatible_order_is_the_block_list_order():
+    # candidates are sorted from their offsets alone; the order must be that
+    # of key(), and class ids must number the sets of blocks as they appear
+    rng = helpers.seeded(610)
+    for S, small in cross_check_systems():
+        periods = sorted(ess_periods(S)[0])
+        for _ in range(6):
+            m1, m2 = rng.choice(periods), rng.choice(periods)
+            if m2 * (m2 // gcd(m1, m2)) ** (len(S.cycles) - 1) > (300 if small else 40):
+                continue
+            tagged = enumerate_compatible(helpers.random_partition(S, m1, rng), m2)
+            found = [Q for Q, _ in tagged]
+            assert found == sorted(found, key=PeriodicPartition.key)
+            ids = {}
+            assert [cid for _, cid in tagged] == [
+                ids.setdefault(frozenset(Q.blocks), len(ids)) for Q in found
+            ]
+
+
+def test_outside_levels_are_checked_once(monkeypatch):
+    # from_blocks and validate_chain admit a level through validate_partition
+    # alone, without the per-point check of PeriodicPartition(system, labels)
+    rng = helpers.seeded(611)
+    calls = []
+    check = PeriodicPartition.__post_init__
+    monkeypatch.setattr(PeriodicPartition, "__post_init__", lambda P: calls.append(P) or check(P))
+    for S, _small in cross_check_systems():
+        chains = helpers.saturated_chains(max(ess_periods(S)[0]))
+        chain = build_chain(S, rng.choice(chains))
+        levels = [
+            blocks_json(cyclic_shift(Q, rng.randrange(Q.length))) for Q in chain.partitions
+        ]
+        assert validate_chain(S, levels).ok
+        for blocks, Q in zip(levels, chain.partitions):
+            R = PeriodicPartition.from_blocks(S, blocks)
+            assert blocks_json(R) == blocks and are_equivalent(R, Q)
+    assert calls == []
 
 
 # ------------------------------------------------------------- property mix

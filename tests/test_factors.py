@@ -1,7 +1,9 @@
 """Factor maps onto odometers: fibers, ordering, maximality, uniqueness."""
 
+import dataclasses
 import itertools
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -10,15 +12,16 @@ from adicdyn import (
     BaseSequence,
     Comparison,
     DomainError,
+    FactorMap,
     PartitionChain,
     PeriodicPartition,
     all_partitions,
     almost_periodic_points,
+    are_compatible,
     are_equivalent,
     build_chain,
     build_factor_map,
     canonical_partition,
-    chains_compatible,
     compare_projections,
     cyclic_shift,
     enumerate_compatible,
@@ -28,8 +31,8 @@ from adicdyn import (
     ess_periods,
     factor_report,
     fiber,
-    fiber_partition,
     from_integer,
+    is_indecomposable,
     is_maximal_projection,
     leq,
     make_compatible,
@@ -37,7 +40,6 @@ from adicdyn import (
     normalize_coherent,
     phi0,
     projection_exists,
-    seq_dominates,
     sigma_of_system,
     singleton_fiber_set,
     translate,
@@ -47,6 +49,7 @@ from adicdyn import (
 from adicdyn import dynsys
 
 import helpers
+from helpers import chains_compatible, fiber_partition, seq_dominates
 
 
 def chain_of(S, lengths):
@@ -411,6 +414,81 @@ def test_classes_match_pairwise_comparison():
             classes = enumerate_factor_maps(S, chain)
             maps = [F for cls in classes for F in cls]
             assert classes == helpers.pairwise_classes(maps), (parts, chain)
+
+
+def test_order_claims_on_every_cycle_type_up_to_ten_points():
+    # class representatives over every divisor chain of the gcd, ordered by
+    # pairwise compare_projections: (a) a greatest class exists iff the
+    # system is one cycle or its gcd is 1 (then the one-point odometer is
+    # the only target); (b) the maximal classes are the maximal projections;
+    # (c) n_L^(k-1) classes per chain, and m2 * (m2/d)^(k-1) compatible
+    # partitions, as the oracle finds them
+    def below(F, G):  # F factors through G, and not the other way
+        return compare_projections(F, G) is Comparison.FIRST_FACTORS_THROUGH_SECOND
+
+    types = list(helpers.all_cycle_types(10))
+    assert len(types) == 138
+    for parts in types:
+        S = helpers.system_of_type(parts)
+        g, k = helpers.cycle_gcd(parts), len(parts)
+        reps = []
+        for lengths in helpers.strict_divisor_chains(g):
+            if g % lengths[-1]:
+                continue
+            classes = enumerate_factor_maps(S, lengths)
+            maps = [F for cls in classes for F in cls]
+            assert len(classes) == len(helpers.pairwise_classes(maps)) == lengths[-1] ** (k - 1)
+            reps += [cls[0] for cls in classes]
+        reps = [cls[0] for cls in helpers.pairwise_classes(reps)]
+        greatest = [G for G in reps if all(F is G or below(F, G) for F in reps)]
+        assert bool(greatest) == (is_indecomposable(S) or g == 1), parts
+        maximal = [G for G in reps if not any(below(G, F) for F in reps)]
+        assert maximal == [G for G in reps if is_maximal_projection(G)], parts
+        for m1, m2 in itertools.product(helpers.divisors(g), repeat=2):
+            P1 = canonical_partition(S, m1)
+            tagged = enumerate_compatible(P1, m2)
+            d = m2 // math.gcd(m1, m2)
+            assert len(tagged) == m2 * d ** (k - 1)
+            assert len({cid for _, cid in tagged}) == d ** (k - 1)
+            oracle = [Q for Q in all_partitions(S, m2) if are_compatible(P1, Q)]
+            assert [Q for Q, _ in tagged] == oracle
+
+
+def test_factor_map_is_its_chain():
+    # a FactorMap holds (source, chain) alone; its labels, fibers, singleton
+    # set, report and order match their point-by-point definitions
+    assert [f.name for f in dataclasses.fields(FactorMap)] == ["source", "chain"]
+    rng = helpers.seeded(612)
+    for _ in range(60):
+        S = helpers.random_periodic_system(12, rng)
+        chains = helpers.saturated_chains(helpers.cycle_gcd(map(len, S.cycles)))
+        maps = []
+        for lengths in rng.sample(chains, min(2, len(chains))) + [(1,)]:
+            levels = build_chain(S, lengths).partitions
+            shifted = PartitionChain([cyclic_shift(Q, rng.randrange(Q.length)) for Q in levels])
+            maps.append(build_factor_map(S, shifted))
+        for F in maps:
+            labels = F.labels
+            assert labels == tuple(zip(*(Q.labels for Q in F.chain.partitions)))
+            assert all(v == tuple(v[-1] % n for n in F.chain.lengths) for v in labels)
+            for Q in F.chain.partitions:
+                x = rng.randrange(S.size)
+                assert Q.index_of(x) == Q.labels[x]
+            groups = fiber_partition(F)
+            assert groups == frozenset(F.chain.partitions[-1].blocks)
+            for x in range(S.size):
+                assert fiber(F, labels[x]) == {y for y in range(S.size) if labels[y] == labels[x]}
+            assert singleton_fiber_set(F) == {x for b in groups if len(b) == 1 for x in b}
+            want = [[y for y in range(S.size) if labels[y] == v] for v in sorted(set(labels))]
+            assert factor_report(F)["fibers"] == want
+            for G in maps:
+                r12, r21 = helpers.refines(F.labels, G.labels), helpers.refines(G.labels, F.labels)
+                assert compare_projections(F, G) is {
+                    (True, True): Comparison.EQUIVALENT,
+                    (True, False): Comparison.SECOND_FACTORS_THROUGH_FIRST,
+                    (False, True): Comparison.FIRST_FACTORS_THROUGH_SECOND,
+                    (False, False): Comparison.INCOMPARABLE,
+                }[r12, r21]
 
 
 # ------------------------------------------------------------- dichotomy

@@ -24,12 +24,11 @@ from adicdyn import (
     parse_supernatural,
     phi0,
     phi_of_set,
-    regular_contains,
-    seq_dominates,
 )
 from adicdyn.supernatural import PRIMALITY_LIMIT
 
 import helpers
+from helpers import regular_contains, seq_dominates
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
