@@ -105,12 +105,17 @@ class FinSystem:
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
+# parse_cycles refuses a larger system before it allocates one: `ess` on a
+# system of this many points peaks near 0.3 GB (about 130 bytes a point).
+MAX_POINTS = 1 << 21
+
 
 def parse_cycles(text: str, size: int | None = None) -> FinSystem:
     """Parse cycle notation like ``(0 1 2)(3 4)``.
 
     Whitespace-insensitive; points not mentioned are fixed points, and with
-    an explicit size trailing fixed points may be omitted entirely.
+    an explicit size trailing fixed points may be omitted entirely.  A
+    system of more than MAX_POINTS points is refused.
     """
     s = text.strip()
     leftover = _CYCLE_RE.sub("", s).strip()
@@ -146,6 +151,8 @@ def parse_cycles(text: str, size: int | None = None) -> FinSystem:
         raise ParseError(f"point {missing} is missing (pass size= to omit fixed points)")
     if n < 1:
         raise ParseError("empty system")
+    if n > MAX_POINTS:
+        raise ParseError(f"a system of {n} points is larger than the limit of {MAX_POINTS}")
     fwd = list(range(n))
     for pts in cycles:
         for a, b in zip(pts, pts[1:] + pts[:1]):

@@ -8,10 +8,19 @@ lcm and order comparison, and it covers everything the rest of the package
 needs — images of ordinary integers, single-prime infinite powers, and the
 top element.  Values with infinitely many distinct finite nonzero
 exponents are not representable and are rejected by construction.
+
+The exception list (``exps``) is the one stored form, kept canonical:
+primes ascending, no entry equal to the default.  ``mul``, ``gcd`` and
+``lcm`` are one merge walk over the two ascending lists, which emits
+canonical entries directly, and ``leq`` is the same walk stopped at the
+first failing prime.  ``phi0`` trial-divides by a table of the primes below
+2^14, built once at import; ``phi_of_set`` factors every value into one
+shared prime -> largest exponent table and builds one value from it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -89,18 +98,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _valid_exp(e) -> bool:
-    return e is INF or (isinstance(e, int) and e >= 0)
-
-
-def _canonical(table: dict, default) -> tuple:
-    """The exps of a valid prime -> exponent table: primes ascending,
-    entries equal to the default dropped (0 is the only falsy exponent)."""
-    if default is INF:
-        return tuple(sorted([(p, e) for p, e in table.items() if e is not INF]))
-    return tuple(sorted([(p, e) for p, e in table.items() if e]))
-
-
 @dataclass(frozen=True)
 class Supernatural:
     """A supernatural number in canonical exception/default form.
@@ -115,19 +112,22 @@ class Supernatural:
     default: object = 0
 
     def __post_init__(self):
-        if not (self.default == 0 or self.default is INF):
+        default = self.default
+        if not (default is INF or (type(default) is int and default == 0)):
             raise DomainError("default exponent must be 0 or inf")
         seen = {}
         for entry in self.exps:
             p, e = entry
             if not _is_prime(p):
                 raise DomainError(f"{p!r} is not prime")
-            if not _valid_exp(e):
+            if not (e is INF or (type(e) is int and e >= 0)):
                 raise DomainError(f"bad exponent for {p}: {e!r}")
             if p in seen:
                 raise DomainError(f"prime {p} listed twice")
             seen[p] = e
-        object.__setattr__(self, "exps", _canonical(seen, self.default))
+        # 0 is the only falsy exponent
+        kept = [(p, e) for p, e in seen.items() if (e is not INF if default is INF else e)]
+        object.__setattr__(self, "exps", tuple(sorted(kept)))
 
     def exponent(self, p: int):
         """The exponent of the prime p (the default if p is not listed)."""
@@ -140,24 +140,62 @@ class Supernatural:
         return format_supernatural(self)
 
 
-def _trusted(table: dict, default) -> Supernatural:
-    """A Supernatural built from valid operands, so its table already holds
-    primes with exponents that are ints >= 0 or INF, and default is 0 or
-    INF.  It is only canonicalized: the checks of Supernatural(...) are for
-    values from outside the package."""
+def _trusted(exps: tuple, default) -> Supernatural:
+    """A Supernatural from fields already in canonical form: primes
+    ascending, exponents ints >= 0 or INF, none equal to default (0 or
+    INF).  The checks of Supernatural(...) are for values from outside the
+    package.  Writing the instance dict skips the frozen __setattr__ at
+    about half the cost of object.__setattr__."""
     value = object.__new__(Supernatural)
-    object.__setattr__(value, "exps", _canonical(table, default))
-    object.__setattr__(value, "default", default)
+    fields = value.__dict__
+    fields["exps"] = exps
+    fields["default"] = default
     return value
 
 
 E = Supernatural()
 TOP = Supernatural(default=INF)
 
-# phi0 trial-divides by every candidate below this bound, which factors any
-# n below its square outright; a cofactor left over has no prime factor
-# below the bound and is certified and split by _is_prime and _rho.
+# phi0 trial-divides by the primes below this bound, which factors any n
+# below its square outright; a cofactor left over has no prime factor below
+# the bound and is certified and split by _is_prime and _rho.
 _TRIAL_LIMIT = 1 << 14
+
+
+def _primes_below(n: int) -> tuple:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(itertools.compress(range(n), sieve))
+
+
+_TRIAL_PRIMES = _primes_below(_TRIAL_LIMIT)
+
+
+def _factor(n: int) -> list:
+    """The prime factorization of the positive int n, as (prime, exponent)
+    pairs with the primes ascending."""
+    if type(n) is not int or n < 1:
+        raise DomainError("phi0 expects a positive integer")
+    out = []
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            if n > 1:
+                out.append((n, 1))
+            return out
+        if not n % p:
+            n //= p
+            k = 1
+            while not n % p:
+                n //= p
+                k += 1
+            out.append((p, k))
+    if n > 1:
+        out += _factor_large(n)
+    return out
 
 
 def phi0(n: int) -> Supernatural:
@@ -167,30 +205,13 @@ def phi0(n: int) -> Supernatural:
     below 2^14 is below PRIMALITY_LIMIT, so for every n below that limit;
     DomainError otherwise.
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError("phi0 expects a positive integer")
+    return _trusted(tuple(_factor(n)), 0)
+
+
+def _factor_large(m: int) -> list:
+    """The factorization of m > 1, which has no prime factor below
+    _TRIAL_LIMIT, as ascending (prime, exponent) pairs."""
     table = {}
-    m = n
-    p = 2
-    while p * p <= m:
-        if p >= _TRIAL_LIMIT:
-            _factor_large(m, table)
-            return _trusted(table, 0)
-        if m % p == 0:
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            table[p] = k
-        p += 1 if p == 2 else 2
-    if m > 1:
-        table[m] = 1
-    return _trusted(table, 0)
-
-
-def _factor_large(m: int, table: dict) -> None:
-    """Add the factorization of m, which has no prime factor below
-    _TRIAL_LIMIT, to table."""
     pending = [m]
     while pending:
         m = pending.pop()
@@ -199,6 +220,7 @@ def _factor_large(m: int, table: dict) -> None:
         else:
             d = _rho(m)
             pending += (d, m // d)
+    return sorted(table.items())
 
 
 def _rho(n: int) -> int:
@@ -229,14 +251,36 @@ def _rho(n: int) -> int:
     raise DomainError(f"could not split {n}")
 
 
+# a sentinel after the last prime of every exception list in a merge walk
+_END = ((math.inf, None),)
+
+
 def _combine(op, M: Supernatural, N: Supernatural) -> Supernatural:
-    """op applied prime by prime to the exponents of M and N."""
+    """op applied prime by prime to the exponents of M and N: one merge walk
+    over the two ascending exception lists, which keeps the entries that
+    differ from the result's default and so emits canonical exps."""
     dm, dn = M.default, N.default
-    rest = dict(N.exps)
-    table = {p: op(e, rest.pop(p, dn)) for p, e in M.exps}
-    for p, e in rest.items():
-        table[p] = op(dm, e)
-    return _trusted(table, op(dm, dn))
+    d = op(dm, dn)
+    a, b = M.exps + _END, N.exps + _END
+    out = []
+    i = j = 0
+    while True:
+        p, e = a[i]
+        q, f = b[j]
+        if p < q:
+            i += 1
+            r = op(e, dn)
+        elif q < p:
+            j += 1
+            p, r = q, op(dm, f)
+        elif e is None:
+            return _trusted(tuple(out), d)
+        else:
+            i += 1
+            j += 1
+            r = op(e, f)
+        if (r is not INF) if d is INF else r:  # 0 is the only falsy exponent
+            out.append((p, r))
 
 
 def mul(M: Supernatural, N: Supernatural) -> Supernatural:
@@ -245,18 +289,30 @@ def mul(M: Supernatural, N: Supernatural) -> Supernatural:
 
 
 def leq(M: Supernatural, N: Supernatural) -> bool:
-    """True iff every exponent of M is at most the one in N."""
+    """True iff every exponent of M is at most the one in N: the merge walk
+    of _combine, stopped at the first prime where it fails."""
     dm, dn = M.default, N.default
     if not dm <= dn:
         return False
-    rest = dict(N.exps)
-    for p, e in M.exps:
-        if not e <= rest.pop(p, dn):
+    a, b = M.exps + _END, N.exps + _END
+    i = j = 0
+    while True:
+        p, e = a[i]
+        q, f = b[j]
+        if p < q:
+            i += 1
+            ok = e <= dn
+        elif q < p:
+            j += 1
+            ok = dm <= f
+        elif e is None:
+            return True
+        else:
+            i += 1
+            j += 1
+            ok = e <= f
+        if not ok:
             return False
-    # left in rest: primes listed in N alone, where M has its default; a
-    # default of 0 is below them all, and (both defaults being inf) an inf
-    # default is above N's listed, finite, exponents
-    return dm == 0 or not rest
 
 
 def gcd(M: Supernatural, N: Supernatural) -> Supernatural:
@@ -272,17 +328,22 @@ def lcm(M: Supernatural, N: Supernatural) -> Supernatural:
 def phi_of_set(values) -> Supernatural:
     """Componentwise supremum of phi0 over a finite nonempty set of ints.
 
-    For a finite set this is just phi0 of the least common multiple, but it
-    is computed as the fold of the lattice join so the identity is testable
-    rather than assumed.
+    Each value is factored into one shared prime -> largest exponent table.
+    That is the fold of lcm over the phi0 images, which the tests keep as
+    the reference (tests/helpers.py).  It is also phi0 of the values' least
+    common multiple, but factoring the values one at a time answers
+    wherever phi0 answers on each value, even where their lcm leaves a
+    cofactor past PRIMALITY_LIMIT.
     """
     vals = list(values)
     if not vals:
         raise DomainError("phi of the empty set is undefined")
-    out = phi0(vals[0])
-    for a in vals[1:]:
-        out = lcm(out, phi0(a))
-    return out
+    table = {}
+    for n in vals:
+        for p, k in _factor(n):
+            if k > table.get(p, 0):
+                table[p] = k
+    return _trusted(tuple(sorted(table.items())), 0)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ Small combinatorial generators: cycle types, systems built from them,
 divisor chains, and a seeded conjugation helper.  Everything here is
 brute-force and independent of the library's own enumeration code so the
 tests can cross-check against it.  The reference definitions below
-(saturation, refines on labelings, fiber_partition, ...) state a concept
-point by point, as the library's closed forms are checked against them.
+(saturation, refines on labelings, fiber_partition, the lcm fold of
+phi_of_set, ...) state a concept point by point, as the library's closed
+forms are checked against them.
 """
 
 import random
@@ -21,6 +22,7 @@ from adicdyn import (
     canonical_partition,
     compare_projections,
     leq,
+    lcm as sn_lcm,
     phi0,
 )
 
@@ -170,6 +172,15 @@ def chains_compatible(c1, c2):
 def invariant_components(S):
     """The minimal nonempty invariant subsets: the cycles."""
     return [frozenset(cyc) for cyc in S.cycles]
+
+
+def phi_of_set_reference(values):
+    """phi_of_set as the fold of the lattice join over the phi0 images."""
+    vals = list(values)
+    out = phi0(vals[0])
+    for a in vals[1:]:
+        out = sn_lcm(out, phi0(a))
+    return out
 
 
 def regular_contains(R, a):

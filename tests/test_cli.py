@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 from adicdyn.cli import run
+from adicdyn.dynsys import MAX_POINTS
 
 
 def invoke(capsys, *argv):
@@ -232,6 +233,23 @@ def test_missing_point_is_named_in_bounded_memory():
     )
     assert proc.returncode == 2, proc.stderr
     assert "point 1 is missing" in proc.stderr
+
+
+def test_declared_size_is_bounded_before_allocating():
+    # the size was once allocated as list(range(n)) before anything refused it
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "adicdyn.cli", "ess", "(0 1)", "--size", "10000000000"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "larger than the limit of" in proc.stderr
+    assert MAX_POINTS >= 720720  # the largest system the tests build
 
 
 def test_boolean_point_ids_are_parse_errors(capsys):

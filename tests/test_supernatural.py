@@ -111,6 +111,28 @@ def test_rejects_bad_entries():
         Supernatural((), default=2)
 
 
+def test_rejects_non_int_defaults_and_exponents():
+    # bool is an int subclass and 0.0 == 0: neither may enter a value
+    for default in (0.0, False, True, 0.5):
+        with pytest.raises(DomainError, match="default exponent"):
+            Supernatural(((2, 3),), default=default)
+    for e in (True, False, 2.0, 0.0):
+        with pytest.raises(DomainError, match="bad exponent"):
+            Supernatural(((3, e),))
+    with pytest.raises(DomainError):
+        mul(Supernatural(((2, 3),), default=0.0), parse_supernatural("3^2*5"))
+
+
+def test_phi0_and_phi_of_set_refuse_bools():
+    for bad in (True, False, 2.0):
+        with pytest.raises(DomainError, match="positive integer"):
+            phi0(bad)
+    with pytest.raises(DomainError, match="positive integer"):
+        phi_of_set([True, 2])
+    with pytest.raises(DomainError, match="positive integer"):
+        phi_of_set([2, False])
+
+
 def test_exponent_lookup():
     a = parse_supernatural("2^3*5^inf")
     assert a.exponent(2) == 3
@@ -151,6 +173,36 @@ def test_phi0_past_trial_division():
     assert R.exps == ((2147483629, 1), (2147483647, 1))
     assert phi0(2**5 * 3 * 2147483647**2).exps == ((2, 5), (3, 1), (2147483647, 2))
     assert_canonical(R)
+
+
+def _trial_division(n):
+    exps = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            k = 0
+            while n % d == 0:
+                n //= d
+                k += 1
+            exps.append((d, k))
+        d += 1
+    if n > 1:
+        exps.append((n, 1))
+    return tuple(exps)
+
+
+def test_phi0_matches_trial_division_below_2_16():
+    for n in range(1, 1 << 16):
+        assert phi0(n).exps == _trial_division(n)
+
+
+def test_phi0_at_the_trial_division_boundary():
+    # 16381 is the largest prime below 2^14, 16411 the smallest above it
+    lo, hi = 16381, 16411
+    for n in (lo * lo, lo * hi, hi * hi, (1 << 14) * hi):
+        R = phi0(n)
+        assert R.exps == _trial_division(n)
+        assert_canonical(R)
 
 
 def test_phi0_refuses_cofactor_past_primality_limit():
@@ -203,6 +255,24 @@ def test_phi_of_set_is_lcm_of_images():
     assert phi_of_set([2, 3, 4]) == phi0(12)
     assert phi_of_set([1]) == E
     assert phi_of_set([6, 10, 15]) == phi0(30)
+
+
+def test_phi_of_set_matches_the_lattice_join_fold():
+    rng = helpers.seeded(8)
+    for _ in range(500):
+        top = rng.choice((60, 10**4, 10**9, 10**15))
+        values = [rng.randint(1, top) for _ in range(rng.randint(1, 6))]
+        assert phi_of_set(values) == helpers.phi_of_set_reference(values)
+
+
+def test_phi_of_set_factors_each_value():
+    # the lcm of the two primes after 2^50 is past PRIMALITY_LIMIT, so
+    # phi0 of the lcm is refused, but each value factors on its own
+    p, q = 1125899906842679, 1125899906842723
+    R = phi_of_set([p, q])
+    assert R.exps == ((p, 1), (q, 1))
+    assert R == helpers.phi_of_set_reference([p, q])
+    assert_canonical(R)
 
 
 def test_regular_contains():
