@@ -6,8 +6,11 @@ cyclically.  Equivalently: a labeling c with c(f(x)) = c(x) + 1 mod m whose
 classes are all nonempty.  The labels step by one along each cycle, so a
 PeriodicPartition holds m and the label of each cycle's first point: these
 offsets are the closed form of the labeling, not a second representation.
-A labeling from outside is checked once; every construction below is
-arithmetic on the offsets, O(cycles) rather than O(points).
+Each outside input costs one pass: a forward map is checked by the walk
+that finds its cycles, at construction, and a block list by reading it as a
+labeling and checking the step rule along each cycle (validate_partition
+names the failing clauses only when that check fails).  Every construction
+below is arithmetic on the offsets, O(cycles) rather than O(points).
 
 The brute-force oracle all_partitions only relies on the defining clauses;
 the faster formulas (ess_periods, the compatibility criterion, the
@@ -20,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DomainError, ParseError
@@ -29,41 +32,48 @@ from .supernatural import BaseSequence, phi0
 
 @dataclass(frozen=True)
 class FinSystem:
-    """A permutation f of the points 0..N-1, stored as its forward map."""
+    """A permutation f of the points 0..N-1, stored as its forward map, and
+    its cycles: each in f-order from its smallest point, listed by smallest
+    point ascending.
+
+    The cycles are computed at construction by one walk, and the walk is the
+    permutation check: each walk starts at the least point not yet seen and
+    follows f until it meets a seen point, which for a permutation is the
+    walk's own start.  A walk that stops anywhere else has met a point
+    twice.  Entries must be of type int (bool and float are refused).
+    """
 
     forward: tuple = ()
+    cycles: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fwd = tuple(self.forward)
         object.__setattr__(self, "forward", fwd)
         if not fwd:
             raise DomainError("a system needs at least one point")
-        if sorted(fwd) != list(range(len(fwd))):
+        n = len(fwd)
+        if set(map(type, fwd)) != {int} or min(fwd) < 0 or max(fwd) >= n:
             raise DomainError("forward map is not a permutation of 0..N-1")
+        seen = bytearray(n)
+        cycles = []
+        start = 0
+        while start >= 0:
+            cyc = [start]
+            seen[start] = 1
+            y = fwd[start]
+            while not seen[y]:
+                seen[y] = 1
+                cyc.append(y)
+                y = fwd[y]
+            if y != start:
+                raise DomainError("forward map is not a permutation of 0..N-1")
+            cycles.append(tuple(cyc))
+            start = seen.find(0, start + 1)
+        object.__setattr__(self, "cycles", tuple(cycles))
 
     @property
     def size(self) -> int:
         return len(self.forward)
-
-    @cached_property
-    def cycles(self) -> tuple:
-        """Cycles in f-order, each starting at its smallest point,
-        listed by smallest point ascending."""
-        fwd = self.forward
-        seen = bytearray(self.size)
-        out = []
-        for start in range(self.size):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = 1
-            y = fwd[start]
-            while y != start:
-                cyc.append(y)
-                seen[y] = 1
-                y = fwd[y]
-            out.append(tuple(cyc))
-        return tuple(out)
 
     @cached_property
     def _position(self) -> tuple:
@@ -166,7 +176,8 @@ def format_cycles(S: FinSystem) -> str:
 
 @dataclass
 class PartitionReport:
-    """Clause-by-clause check of the periodic-partition conditions."""
+    """Clause-by-clause check of the periodic-partition conditions; when
+    they all hold, partition is the partition the block list describes."""
 
     clause_i: str  # clopenness — automatic on a finite discrete space
     clause_ii: bool  # f(W_{i-1}) = W_i cyclically
@@ -174,6 +185,7 @@ class PartitionReport:
     clause_iv: bool  # covers every point, no strays
     blocks_nonempty: bool
     problems: tuple
+    partition: PeriodicPartition | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -185,13 +197,62 @@ class PartitionReport:
         )
 
 
+_CLOPEN = "vacuous on a finite discrete space"
+
+
+def _offsets(system: FinSystem, blocks: list):
+    """The offsets of a block list (a list of tuples) that is a periodic
+    partition of system listing no point twice, or None.
+
+    The block list is read as a labeling, lab[x] the index of the block
+    holding x, and accepted when the labels step by one mod m along every
+    cycle; a cycle then walks through every label, so no block is empty.
+    N int ids in 0..N-1 with every point labeled are one block each, and the
+    step rule gives f(W_i) within W_{i+1}, so, f being one-to-one, equal.
+    """
+    n, m = system.size, len(blocks)
+    flat = list(itertools.chain.from_iterable(blocks))
+    # types and range first: a negative id would write lab[-1]
+    if len(flat) != n or set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) >= n:
+        return None
+    lab = [m] * n  # a point no block lists keeps m, which is no label
+    for j, b in enumerate(blocks):
+        for x in b:
+            lab[x] = j
+    offsets = []
+    for c in system.cycles:
+        # a run of len(c) labels, which m must divide for the wrap-around
+        o = lab[c[0]]
+        if [lab[x] for x in c] != [*range(o, m), *range(o)] * (len(c) // m):
+            return None
+        offsets.append(o)
+    return offsets
+
+
 def validate_partition(system: FinSystem, blocks) -> PartitionReport:
     """Report which of the defining clauses a candidate block list satisfies.
 
-    Clause (i), clopenness, is vacuous on finite discrete spaces and is
-    reported as such rather than as a boolean.
+    A block list that is a partition is accepted by building its labeling
+    once and checking the step rule (see _offsets); only when that fails
+    are the clauses checked one by one, to name those that fail.  Clause
+    (i), clopenness, is vacuous on finite discrete spaces and is reported
+    as such rather than as a boolean.
     """
-    blocks = [frozenset(b) for b in blocks]
+    blocks = list(map(tuple, blocks))
+    offsets = _offsets(system, blocks)
+    if offsets is None:
+        report = _clause_report(system, [frozenset(b) for b in blocks])
+        if not report.ok:
+            return report
+        # accepted with a point listed twice inside its block
+        offsets = _offsets(system, [tuple(frozenset(b)) for b in blocks])
+    return PartitionReport(
+        _CLOPEN, True, True, True, True, (), _trusted(system, len(blocks), offsets)
+    )
+
+
+def _clause_report(system: FinSystem, blocks: list) -> PartitionReport:
+    """validate_partition's clause-by-clause check of a list of frozensets."""
     problems = []
 
     nonempty = bool(blocks)
@@ -226,7 +287,7 @@ def validate_partition(system: FinSystem, blocks) -> PartitionReport:
                 cyclic = False
                 problems.append(f"f(W_{i}) != W_{(i + 1) % m}")
     return PartitionReport(
-        "vacuous on a finite discrete space",
+        _CLOPEN,
         cyclic,
         disjoint,
         covers,
@@ -278,13 +339,12 @@ class PeriodicPartition:
 
     @classmethod
     def from_blocks(cls, system: FinSystem, blocks) -> PeriodicPartition:
-        """The partition with the given ordered block list, checked clause by
-        clause through validate_partition."""
-        blocks = [frozenset(b) for b in blocks]
+        """The partition with the given ordered block list, checked once
+        through validate_partition."""
         report = validate_partition(system, blocks)
         if not report.ok:
             raise DomainError("not a periodic partition: " + "; ".join(report.problems))
-        return _of_valid_blocks(system, blocks)
+        return report.partition
 
     @cached_property
     def labels(self) -> tuple:
@@ -324,14 +384,6 @@ def _trusted(system: FinSystem, m: int, offsets) -> PeriodicPartition:
     return P
 
 
-def _of_valid_blocks(system: FinSystem, blocks) -> PeriodicPartition:
-    """The partition of a block list (of frozensets) that validate_partition
-    accepted: each offset is the index of the block holding the cycle's
-    first point."""
-    offsets = [next(i for i, b in enumerate(blocks) if c[0] in b) for c in system.cycles]
-    return _trusted(system, len(blocks), offsets)
-
-
 def blocks_json(P: PeriodicPartition) -> list:
     """The serialized form: a list of sorted point lists, in block order."""
     return [list(b) for b in P.key()]
@@ -351,6 +403,11 @@ def canonical_partition(S: FinSystem, m: int) -> PeriodicPartition:
     return _trusted(S, m, (0,) * len(S.cycles))
 
 
+# all_partitions refuses a search with more leaves than this before it starts;
+# 2^16 leaves, sixteen 2-cycles with m = 2, take about 3 s.
+ORACLE_LEAVES = 1 << 16
+
+
 def all_partitions(S: FinSystem, m: int, bound: int = 12) -> list:
     """Brute-force enumeration of every length-m partition, canonically sorted.
 
@@ -358,13 +415,21 @@ def all_partitions(S: FinSystem, m: int, bound: int = 12) -> list:
     nothing but the defining increment rule: labels are propagated point by
     point along each cycle and the wrap-around is checked directly.  Every
     completed candidate is admitted through PeriodicPartition.from_blocks
-    alone, which checks it clause by clause with validate_partition.
+    alone, which checks it once with validate_partition.
+
+    The search labels the cycles in turn, m ways each, and stops at the
+    first cycle whose length m does not divide; a search with more than
+    ORACLE_LEAVES leaves (m to the number of cycles before that one) is
+    refused before it starts.
     """
     if not isinstance(m, int) or m < 1:
         raise DomainError("length must be a positive integer")
     if S.size > bound or m > bound:
         raise DomainError(f"oracle bound {bound} exceeded")
     cycles = S.cycles
+    depth = next((i for i, c in enumerate(cycles) if len(c) % m), len(cycles))
+    if m ** depth > ORACLE_LEAVES:
+        raise DomainError(f"the oracle would try {m}^{depth} labelings, more than {ORACLE_LEAVES}")
     labels = [-1] * S.size
     out = []
 
@@ -646,13 +711,12 @@ def validate_chain(system: FinSystem, levels) -> ChainReport:
     parts = []
     levels_valid = True
     for i, blocks in enumerate(levels):
-        blocks = [frozenset(b) for b in blocks]
         report = validate_partition(system, blocks)
         if not report.ok:
             levels_valid = False
             problems.append(f"level {i}: " + "; ".join(report.problems))
         else:
-            parts.append(_of_valid_blocks(system, blocks))
+            parts.append(report.partition)
     if not levels:
         levels_valid = False
         problems.append("empty chain")

@@ -52,10 +52,12 @@ def _same_base(x: AdicInt, y: AdicInt):
 def _trusted(base: BaseSequence, residues: tuple) -> AdicInt:
     """An AdicInt whose residues are coherent by construction (images of an
     integer, or componentwise sums and negatives of coherent vectors); the
-    checks of AdicInt(...) are for vectors from outside the package."""
+    checks of AdicInt(...) are for vectors from outside the package.
+    Writing the instance dict skips the frozen __setattr__."""
     x = object.__new__(AdicInt)
-    object.__setattr__(x, "base", base)
-    object.__setattr__(x, "residues", residues)
+    fields = x.__dict__
+    fields["base"] = base
+    fields["residues"] = residues
     return x
 
 

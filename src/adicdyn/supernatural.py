@@ -118,7 +118,7 @@ class Supernatural:
         seen = {}
         for entry in self.exps:
             p, e = entry
-            if not _is_prime(p):
+            if not (_SMALL_PRIME[p] if type(p) is int and 0 <= p < _TRIAL_LIMIT else _is_prime(p)):
                 raise DomainError(f"{p!r} is not prime")
             if not (e is INF or (type(e) is int and e >= 0)):
                 raise DomainError(f"bad exponent for {p}: {e!r}")
@@ -162,17 +162,21 @@ TOP = Supernatural(default=INF)
 _TRIAL_LIMIT = 1 << 14
 
 
-def _primes_below(n: int) -> tuple:
-    """The primes below n, by the sieve of Eratosthenes."""
+def _sieve(n: int) -> bytearray:
+    """sieve[k] is 1 if k is prime and 0 if not, for k below n (the sieve of
+    Eratosthenes)."""
     sieve = bytearray([1]) * n
     sieve[:2] = b"\0\0"
     for p in range(2, math.isqrt(n - 1) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
-    return tuple(itertools.compress(range(n), sieve))
+    return sieve
 
 
-_TRIAL_PRIMES = _primes_below(_TRIAL_LIMIT)
+# Supernatural(...) looks a prime below _TRIAL_LIMIT up here (16 KB, where a
+# frozenset of the same primes takes 128 KB)
+_SMALL_PRIME = _sieve(_TRIAL_LIMIT)
+_TRIAL_PRIMES = tuple(itertools.compress(range(_TRIAL_LIMIT), _SMALL_PRIME))
 
 
 def _factor(n: int) -> list:

@@ -5,7 +5,7 @@ divisor chains, and a seeded conjugation helper.  Everything here is
 brute-force and independent of the library's own enumeration code so the
 tests can cross-check against it.  The reference definitions below
 (saturation, refines on labelings, fiber_partition, the lcm fold of
-phi_of_set, ...) state a concept point by point, as the library's closed
+phi_of_set, validate_partition's clause check, ...) state a concept point by point, as the library's closed
 forms are checked against them.
 """
 
@@ -17,6 +17,7 @@ from adicdyn import (
     Comparison,
     DomainError,
     FinSystem,
+    PartitionReport,
     PeriodicPartition,
     are_compatible,
     canonical_partition,
@@ -119,6 +120,53 @@ def make_compatible_reference(P1, m2):
         folded[s % m2] |= layer
         layer = {S.apply(x) for x in layer}
     return [sorted(b) for b in folded]
+
+
+def validate_partition_reference(system, blocks):
+    """validate_partition clause by clause on frozensets, as it was before
+    its one-pass accept: the texts and flags every report must match."""
+    blocks = [frozenset(b) for b in blocks]
+    problems = []
+
+    nonempty = bool(blocks)
+    if not blocks:
+        problems.append("no blocks")
+    for i, b in enumerate(blocks):
+        if not b:
+            nonempty = False
+            problems.append(f"block {i} is empty")
+
+    n = system.size
+    in_range = all(type(x) is int and 0 <= x < n for b in blocks for x in b)
+    if not in_range:
+        problems.append("point ids out of range")
+
+    total = sum(len(b) for b in blocks)
+    union = set().union(*blocks) if blocks else set()
+    disjoint = total == len(union)
+    if not disjoint:
+        problems.append("blocks overlap")
+
+    covers = in_range and union == set(range(n))
+    if not covers:
+        problems.append("blocks do not cover the space exactly")
+
+    m = len(blocks)
+    cyclic = bool(blocks) and in_range
+    if cyclic:
+        for i in range(m):
+            image = frozenset(map(system.forward.__getitem__, blocks[i]))
+            if image != blocks[(i + 1) % m]:
+                cyclic = False
+                problems.append(f"f(W_{i}) != W_{(i + 1) % m}")
+    return PartitionReport(
+        "vacuous on a finite discrete space",
+        cyclic,
+        disjoint,
+        covers,
+        nonempty,
+        tuple(problems),
+    )
 
 
 def lcm_labels_reference(P1, P2):

@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 from adicdyn.cli import run
-from adicdyn.dynsys import MAX_POINTS
+from adicdyn.dynsys import MAX_POINTS, ORACLE_LEAVES
 
 
 def invoke(capsys, *argv):
@@ -250,6 +250,19 @@ def test_declared_size_is_bounded_before_allocating():
     assert proc.returncode == 2, proc.stderr
     assert "larger than the limit of" in proc.stderr
     assert MAX_POINTS >= 720720  # the largest system the tests build
+
+
+def test_oracle_search_is_bounded_before_it_starts():
+    # 2^20 labelings of twenty 2-cycles once ran past any timeout
+    cycles = "".join(f"({2 * i} {2 * i + 1})" for i in range(20))
+    proc = subprocess.run(
+        [sys.executable, "-m", "adicdyn.cli", "oracle", cycles, "2", "--bound", "40"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert f"2^20 labelings, more than {ORACLE_LEAVES}" in proc.stderr
 
 
 def test_boolean_point_ids_are_parse_errors(capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from adicdyn import (
     BaseSequence,
     DomainError,
+    FinSystem,
     ParseError,
     PeriodicPartition,
     all_partitions,
@@ -36,6 +37,8 @@ from adicdyn import (
     validate_chain,
     validate_partition,
 )
+from adicdyn import dynsys
+
 import helpers
 from helpers import chains_compatible, invariant_components, refines, saturation
 
@@ -92,6 +95,43 @@ def test_iterate_both_directions():
     assert S.iterate(0, 7) == 2
     assert S.iterate(0, -1) == 4
     assert S.iterate(3, 0) == 3
+
+
+@pytest.mark.parametrize("fwd", [(True, False), (1.0, 0), (0.0,), (1, 0.0), (False,)])
+def test_forward_map_entries_must_be_ints(fwd):
+    # bool and float entries once passed the sort check, which compares by ==
+    with pytest.raises(DomainError, match=r"not a permutation of 0\.\.N-1"):
+        FinSystem(fwd)
+
+
+def test_fin_system_matches_the_permutation_definition():
+    # accepted exactly when sorted(fwd) is 0..N-1 and every entry is an int;
+    # then the cycles follow f from each one's least point, least first
+    rng = helpers.seeded(612)
+    cases = [(0,), (1,), (-1,), (0, 0), (1, 1), (2, 0), (1, 0, 0), (1, 2, 1)]
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        fwd = list(range(n))
+        rng.shuffle(fwd)
+        cases.append(tuple(fwd))
+        bad = list(fwd)
+        bad[rng.randrange(n)] = rng.choice([fwd[rng.randrange(n)], n, n + 3, -1, -n])
+        cases.append(tuple(bad))
+    for fwd in cases:
+        n = len(fwd)
+        is_perm = sorted(fwd) == list(range(n)) and all(type(y) is int for y in fwd)
+        try:
+            S = FinSystem(fwd)
+        except DomainError as exc:
+            assert not is_perm, fwd
+            assert str(exc) == "forward map is not a permutation of 0..N-1"
+            continue
+        assert is_perm, fwd
+        firsts = [c[0] for c in S.cycles]
+        assert firsts == sorted(firsts) and all(c[0] == min(c) for c in S.cycles)
+        assert sorted(x for c in S.cycles for x in c) == list(range(n))
+        for c in S.cycles:
+            assert all(fwd[x] == y for x, y in zip(c, c[1:] + c[:1]))
 
 
 # ------------------------------------------------------------- validation
@@ -192,6 +232,18 @@ def test_oracle_bound():
     assert all_partitions(helpers.system_of_type((13,)), 13, bound=13)
 
 
+def test_oracle_refuses_more_leaves_than_its_limit():
+    # the search labels cycles in turn and stops at the first whose length
+    # m does not divide: m to the number of cycles before it is its leaves
+    assert dynsys.ORACLE_LEAVES == 1 << 16
+    twos = (2,) * 17
+    for parts in (twos, twos + (3,)):
+        with pytest.raises(DomainError, match=r"2\^17 labelings, more than 65536"):
+            all_partitions(helpers.system_of_type(parts), 2, bound=40)
+    assert all_partitions(helpers.system_of_type((3,) + twos), 2, bound=40) == []
+    assert len(all_partitions(helpers.system_of_type((2,) * 12), 2, bound=40)) == 1 << 12
+
+
 def test_oracle_results_are_valid_and_distinct():
     S = helpers.system_of_type((2, 4))
     found = all_partitions(S, 2)
@@ -221,6 +273,74 @@ def test_from_blocks_refuses_boolean_point_ids():
     with pytest.raises(DomainError, match="point ids out of range"):
         P(S, [0, 2], [True, 3])
     assert "point ids out of range" in validate_partition(S, [[0, 2], [True, 3]]).problems
+
+
+def _corrupted_levels(S, blocks, rng):
+    """Named variants of the valid level blocks: itself, and the ways a
+    block list can fail, or pass in spite of its form."""
+    n, m = S.size, len(blocks)
+    out = [("valid", blocks), ("no blocks", [])]
+    # one cycle shifted a block forward (still a partition), or one point
+    for name, c in [("shifted", rng.choice(S.cycles)), ("moved", [rng.randrange(n)])]:
+        out.append((name, [
+            sorted([x for x in blocks[j] if x not in c] + [x for x in blocks[j - 1] if x in c])
+            for j in range(m)
+        ]))
+    if m > 1:
+        i, j = rng.sample(range(m), 2)
+        swapped = [list(b) for b in blocks]
+        a, b = rng.randrange(len(swapped[i])), rng.randrange(len(swapped[j]))
+        swapped[i][a], swapped[j][b] = swapped[j][b], swapped[i][a]
+        out.append(("swapped", swapped))
+    i = rng.randrange(m)
+    point = rng.randrange(len(blocks[i]))
+    for name, new in [("repeated", blocks[i] + [blocks[i][point]]),
+                      ("missing", blocks[i][:point] + blocks[i][point + 1:])]:
+        out.append((name, blocks[:i] + [new] + blocks[i + 1:]))
+    for name, bad in [("id n", n), ("id -1", -1), ("id True", True),
+                      ("replaced", rng.choice(blocks[i]))]:  # one twice, one missing
+        new = list(blocks[i])
+        new[point] = bad
+        out.append((name, blocks[:i] + [new] + blocks[i + 1:]))
+    k = rng.randrange(m + 1)
+    out.append(("empty block", blocks[:k] + [[]] + blocks[k:]))
+    return out
+
+
+def _report_fields(r):
+    return (r.clause_i, r.clause_ii, r.clause_iii, r.clause_iv, r.blocks_nonempty, r.problems)
+
+
+def test_validate_partition_matches_the_clause_check():
+    # the one-pass accept gives the report of the clause-by-clause check,
+    # field by field, valid or not, with blocks as lists or generators;
+    # an accepted report carries the partition the blocks describe
+    rng = helpers.seeded(613)
+    systems = [S for S, _small in cross_check_systems()]
+    for _ in range(200):
+        g = rng.choice([1, 2, 3, 4, 6, 12])
+        parts = [g * rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+        systems.append(helpers.random_conjugate(helpers.system_of_type(tuple(parts)), rng))
+    seen = set()
+    for S in systems:
+        periods = sorted(ess_periods(S)[0])
+        for m in rng.sample(periods, min(3, len(periods))):
+            Q = helpers.random_partition(S, m, rng)
+            for name, blocks in _corrupted_levels(S, blocks_json(Q), rng):
+                want = helpers.validate_partition_reference(S, blocks)
+                for given in (blocks, (iter(b) for b in blocks)):
+                    got = validate_partition(S, given)
+                    assert _report_fields(got) == _report_fields(want), name
+                    if got.ok:
+                        assert blocks_json(got.partition) == [sorted(set(b)) for b in blocks]
+                        assert got.partition == PeriodicPartition(S, got.partition.labels)
+                    else:
+                        assert got.partition is None
+                seen.add((name, want.ok))
+    assert {("valid", True), ("repeated", True), ("shifted", True)} <= seen
+    failing = ["moved", "swapped", "missing", "replaced", "id n", "id -1", "id True",
+               "empty block", "no blocks"]
+    assert {(name, False) for name in failing} <= seen
 
 
 # ------------------------------------------------------------- ess

@@ -25,7 +25,7 @@ from adicdyn import (
     phi0,
     phi_of_set,
 )
-from adicdyn.supernatural import PRIMALITY_LIMIT
+from adicdyn.supernatural import PRIMALITY_LIMIT, _SMALL_PRIME, _is_prime
 
 import helpers
 from helpers import regular_contains, seq_dominates
@@ -194,6 +194,22 @@ def _trial_division(n):
 def test_phi0_matches_trial_division_below_2_16():
     for n in range(1, 1 << 16):
         assert phi0(n).exps == _trial_division(n)
+
+
+def test_small_prime_sieve_agrees_with_is_prime():
+    # Supernatural(...) looks primes below 2^14 up in the sieve
+    for n in range(-16, 1 << 14):  # -3 would read the entry of 16381
+        assert (n >= 0 and _SMALL_PRIME[n] == 1) == _is_prime(n), n
+        try:
+            Supernatural(((n, 1),))
+        except DomainError as exc:
+            assert str(exc) == f"{n!r} is not prime" and not _is_prime(n)
+        else:
+            assert _is_prime(n)
+    for p in (True, 2.0, 16385):  # 16385 = 5 * 29 * 113
+        with pytest.raises(DomainError, match="is not prime"):
+            Supernatural(((p, 1),))
+    assert Supernatural(((16411, 1),)).exps == ((16411, 1),)  # 16411 is prime
 
 
 def test_phi0_at_the_trial_division_boundary():
