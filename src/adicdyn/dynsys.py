@@ -10,7 +10,10 @@ Each outside input costs one pass: a forward map is checked by the walk
 that finds its cycles, at construction, and a block list by reading it as a
 labeling and checking the step rule along each cycle (validate_partition
 names the failing clauses only when that check fails).  Every construction
-below is arithmetic on the offsets, O(cycles) rather than O(points).
+below is arithmetic on the offsets, O(cycles) rather than O(points), and so
+is enumeration: candidates are offset tuples, listed and ordered by
+_compatible_offsets, and only the answers are built as partitions, at most
+MAX_ENUMERATION of them, counted in closed form before anything is built.
 
 The brute-force oracle all_partitions only relies on the defining clauses;
 the faster formulas (ess_periods, the compatibility criterion, the
@@ -417,10 +420,12 @@ def all_partitions(S: FinSystem, m: int, bound: int = 12) -> list:
     completed candidate is admitted through PeriodicPartition.from_blocks
     alone, which checks it once with validate_partition.
 
-    The search labels the cycles in turn, m ways each, and stops at the
-    first cycle whose length m does not divide; a search with more than
-    ORACLE_LEAVES leaves (m to the number of cycles before that one) is
-    refused before it starts.
+    The search is one loop over the start labels of the cycles, m each,
+    not a recursion, so it takes any number of cycles.  The wrap-around of
+    a cycle whose length m does not divide fails for every start label, so
+    the first such cycle is labeled first and rejects every candidate at
+    once; a search with more than ORACLE_LEAVES leaves (m to the number of
+    cycles before that one) is refused before it starts.
     """
     if not isinstance(m, int) or m < 1:
         raise DomainError("length must be a positive integer")
@@ -432,9 +437,16 @@ def all_partitions(S: FinSystem, m: int, bound: int = 12) -> list:
         raise DomainError(f"the oracle would try {m}^{depth} labelings, more than {ORACLE_LEAVES}")
     labels = [-1] * S.size
     out = []
-
-    def rec(i: int):
-        if i == len(cycles):
+    searched = cycles[depth : depth + 1] + cycles[:depth]
+    for starts in itertools.product(range(m), repeat=len(searched)):
+        for cyc, c in zip(searched, starts):
+            for x in cyc:
+                labels[x] = c
+                c = (c + 1) % m
+            # wrap-around: f of the last point is the first again
+            if labels[cyc[0]] != c:
+                break
+        else:
             counts = [0] * m
             for c in labels:
                 counts[c] += 1
@@ -444,20 +456,6 @@ def all_partitions(S: FinSystem, m: int, bound: int = 12) -> list:
                     for j in range(m)
                 )
                 out.append(PeriodicPartition.from_blocks(S, blocks))
-            return
-        cyc = cycles[i]
-        for v in range(m):
-            c = v
-            for x in cyc:
-                labels[x] = c
-                c = (c + 1) % m
-            # wrap-around: f of the last point is the first again
-            if labels[cyc[0]] == c:
-                rec(i + 1)
-        for x in cyc:
-            labels[x] = -1
-
-    rec(0)
     out.sort(key=PeriodicPartition.key)
     return out
 
@@ -505,20 +503,13 @@ def cyclic_shift(P: PeriodicPartition, k: int) -> PeriodicPartition:
     return _trusted(P.system, m, [(o - k) % m for o in P.offsets])
 
 
-def _rotation_key(P: PeriodicPartition) -> tuple:
-    """The offsets shifted so that point 0 (first of the first cycle) is in
-    block 0: equal exactly for the cyclic shifts of one partition."""
-    m, r = P.length, P.offsets[0]
-    return tuple((o - r) % m for o in P.offsets)
-
-
 def are_equivalent(P1: PeriodicPartition, P2: PeriodicPartition) -> bool:
     """True iff some cyclic reindexing maps one block list onto the other."""
     if P1.system != P2.system:
         raise DomainError("partitions live on different systems")
     if P1.length != P2.length:
         raise DomainError("partitions have different lengths")
-    return _rotation_key(P1) == _rotation_key(P2)
+    return len({(b - a) % P1.length for a, b in zip(P1.offsets, P2.offsets)}) == 1
 
 
 def coarsen(P: PeriodicPartition, d: int) -> PeriodicPartition:
@@ -600,15 +591,22 @@ def make_compatible(P1: PeriodicPartition, m2: int) -> PeriodicPartition:
     )
 
 
-def enumerate_compatible(P1: PeriodicPartition, m2: int) -> list:
-    """Every length-m2 partition compatible with P1, tagged by class.
+# enumerate_compatible and factors.enumerate_factor_maps refuse to list more
+# partitions or maps than this, counted before they allocate anything; at
+# the limit, sixteen 2-cycles, the maps take about 1.2 s and 90 MB.
+MAX_ENUMERATION = 1 << 16
 
-    A compatible labeling is determined by one offset per cycle, subject to
-    all cycles inducing the same label difference mod d = gcd(m1, m2); the
-    first cycle's offset ranges freely and pins the difference, so every
-    candidate is compatible by construction.  Returns (partition, class_id)
-    pairs, canonically ordered, where two partitions share a class id iff
-    they are cyclic shifts of each other.
+
+def _require_enumerable(count: int, what: str) -> None:
+    if count > MAX_ENUMERATION:
+        raise DomainError(f"the enumeration would list more than {MAX_ENUMERATION} {what}")
+
+
+def _compatible_offsets(S: FinSystem, anchors, m1: int, m2: int):
+    """Yield, for each anchor (a length-m1 partition's offsets), the offsets
+    of every compatible length-m2 partition, in canonical order: one offset
+    per cycle, all cycles inducing the same label difference mod
+    d = gcd(m1, m2), so the first ranges freely and pins the difference.
 
     The canonical order (by key()) is decided by block 0, and offset o puts
     cycle i's points cycles[i][-o % m2::m2] there, each offset its own.  So
@@ -617,22 +615,32 @@ def enumerate_compatible(P1: PeriodicPartition, m2: int) -> list:
     their symmetric difference: the same order as the sorted least block-0
     points of the cycles, low[i][o], compare in.
     """
+    d = math.gcd(m1, m2)
+    low = [[min(c[-o % m2::m2]) for o in range(m2)] for c in S.cycles]
+    for anchor in anchors:
+        found = []
+        for o1 in range(m2):
+            delta = (o1 - anchor[0]) % d
+            per_cycle = [[o1]] + [range((a + delta) % d, m2, d) for a in anchor[1:]]
+            found += itertools.product(*per_cycle)
+        found.sort(key=lambda offs: sorted(map(list.__getitem__, low, offs)))
+        yield found
+
+
+def enumerate_compatible(P1: PeriodicPartition, m2: int) -> list:
+    """Every length-m2 partition compatible with P1, as (partition, class_id)
+    pairs in canonical order; two share a class id iff they are cyclic shifts
+    of each other, that is iff their offsets agree once the first is shifted
+    to 0.  More than MAX_ENUMERATION, m2 * (m2/d)^(k-1) on k cycles with
+    d = gcd(m1, m2), are refused."""
     S = P1.system
     _require_period(S, m2)
-    d = math.gcd(P1.length, m2)
-    anchor = P1.offsets
-    found = []
-    for o1 in range(m2):
-        delta = (o1 - anchor[0]) % d
-        per_cycle = [[o1]] + [range((a + delta) % d, m2, d) for a in anchor[1:]]
-        found += itertools.product(*per_cycle)
-    low = [[min(c[-o % m2::m2]) for o in range(m2)] for c in S.cycles]
-    found.sort(key=lambda offs: sorted(map(list.__getitem__, low, offs)))
-    class_ids = {}
-    return [
-        (P, class_ids.setdefault(_rotation_key(P), len(class_ids)))
-        for P in (_trusted(S, m2, offs) for offs in found)
-    ]
+    _require_enumerable(m2 * (m2 // math.gcd(P1.length, m2)) ** (len(S.cycles) - 1), "partitions")
+    out, class_ids = [], {}
+    for offs in next(_compatible_offsets(S, [P1.offsets], P1.length, m2)):
+        shifted = tuple([(o - offs[0]) % m2 for o in offs])
+        out.append((_trusted(S, m2, offs), class_ids.setdefault(shifted, len(class_ids))))
+    return out
 
 
 def is_indecomposable(S: FinSystem) -> bool:
@@ -673,6 +681,14 @@ class PartitionChain:
     @property
     def lengths(self) -> tuple:
         return tuple(P.length for P in self.partitions)
+
+
+def _trusted_chain(parts) -> PartitionChain:
+    """The chain of levels whose lengths divide and whose consecutive levels
+    are compatible by construction; no check."""
+    C = object.__new__(PartitionChain)
+    C.__dict__["partitions"] = tuple(parts)
+    return C
 
 
 def refines(fine: PeriodicPartition, coarse: PeriodicPartition) -> bool:
@@ -757,7 +773,7 @@ def build_chain(S: FinSystem, lengths) -> PartitionChain:
         if n != prev.length:
             prev = make_compatible(prev, n)
         parts.append(prev)
-    return PartitionChain(tuple(parts))
+    return _trusted_chain(parts)
 
 
 def extend_chain(chain: PartitionChain, m: int) -> PartitionChain:
@@ -775,14 +791,14 @@ def extend_chain(chain: PartitionChain, m: int) -> PartitionChain:
     _require_period(chain.system, m)
     if m % lengths[-1] == 0:
         new = make_compatible(chain.partitions[-1], m)
-        return PartitionChain(chain.partitions + (new,))
+        return _trusted_chain(chain.partitions + (new,))
     if lengths[0] % m == 0:
         new = coarsen(chain.partitions[0], m)
-        return PartitionChain((new,) + chain.partitions)
+        return _trusted_chain((new,) + chain.partitions)
     for i in range(len(lengths) - 1):
         if m % lengths[i] == 0 and lengths[i + 1] % m == 0:
             new = coarsen(chain.partitions[i + 1], m)
-            return PartitionChain(
+            return _trusted_chain(
                 chain.partitions[: i + 1] + (new,) + chain.partitions[i + 1 :]
             )
     raise DomainError(f"{m} does not fit the chain's divisibility ladder")

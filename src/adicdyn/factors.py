@@ -13,6 +13,7 @@ the family of all such maps is ordered by refinement of those blocks.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,9 +57,7 @@ def normalize_coherent(chain: PartitionChain, x: int) -> PartitionChain:
     shifts = [P.index_of(x) for P in chain.partitions]
     if not any(shifts):
         return chain
-    return PartitionChain(
-        tuple(cyclic_shift(P, s) for P, s in zip(chain.partitions, shifts))
-    )
+    return dynsys._trusted_chain(cyclic_shift(P, s) for P, s in zip(chain.partitions, shifts))
 
 
 @dataclass(frozen=True)
@@ -171,25 +170,28 @@ def max_odometer_factor(S: FinSystem, depth: int | None = None):
 def enumerate_factor_maps(S: FinSystem, lengths) -> list:
     """All factor maps over chains with the given lengths, in classes.
 
-    Chains are enumerated level by level through enumerate_compatible
-    (seeded at the trivial partition, so the first level ranges over every
-    partition of its length); maps are grouped by mutual factorization,
-    that is by equal fibers: finest levels of one length with the same
-    blocks, which are cyclic shifts of each other.  Returns a list of
-    equivalence classes, each a list of FactorMaps.
+    Chains grow level by level as tuples of offsets (dynsys._compatible_offsets,
+    from the trivial partition), and each map is built once; a chain that is
+    not coherent is normalized at point 0, as in build_factor_map.  Classes
+    are equal fibers: finest levels whose offsets agree once the first is
+    shifted to 0.  More than dynsys.MAX_ENUMERATION maps, prod(lengths) *
+    n_L^(k-1) on k cycles, are refused.
     """
-    prefixes = [()]
-    for n in dynsys._period_base(S, lengths).levels:
-        nxt = []
-        for pref in prefixes:
-            prev = pref[-1] if pref else trivial_partition(S)
-            for Q, _cid in dynsys.enumerate_compatible(prev, n):
-                nxt.append(pref + (Q,))
-        prefixes = nxt
-    classes = {}
-    for pref in prefixes:
-        F = build_factor_map(S, PartitionChain(pref))
-        classes.setdefault(dynsys._rotation_key(F.chain.partitions[-1]), []).append(F)
+    levels = dynsys._period_base(S, lengths).levels
+    n = levels[-1]
+    dynsys._require_enumerable(math.prod(levels) * n ** (len(S.cycles) - 1), "factor maps")
+    chains, prev = [(trivial_partition(S).offsets,)], 1
+    for m in levels:
+        found = dynsys._compatible_offsets(S, [ch[-1] for ch in chains], prev, m)
+        chains, prev = [ch + (offs,) for ch, cands in zip(chains, found) for offs in cands], m
+    classes, one = {}, {}  # one: a single partition per distinct level
+    for _, *ch in chains:  # the trivial seed dropped
+        firsts = [offs[0] for offs in ch]
+        if any((b - a) % m for a, b, m in zip(firsts, firsts[1:], levels)):
+            ch = [tuple([(o - r) % m for o in offs]) for offs, r, m in zip(ch, firsts, levels)]
+        parts = [one.get(k) or one.setdefault(k, dynsys._trusted(S, *k)) for k in zip(levels, ch)]
+        F = FactorMap(S, dynsys._trusted_chain(parts))
+        classes.setdefault(tuple([(o - ch[-1][0]) % n for o in ch[-1]]), []).append(F)
     return list(classes.values())
 
 

@@ -6,9 +6,12 @@ brute-force and independent of the library's own enumeration code so the
 tests can cross-check against it.  The reference definitions below
 (saturation, refines on labelings, fiber_partition, the lcm fold of
 phi_of_set, validate_partition's clause check, ...) state a concept point by point, as the library's closed
-forms are checked against them.
+forms are checked against them; the enumeration references keep the
+prefix-by-prefix enumeration the offset-space one is checked against.
 """
 
+import itertools
+import math
 import random
 from functools import lru_cache
 from math import gcd, lcm
@@ -17,14 +20,18 @@ from adicdyn import (
     Comparison,
     DomainError,
     FinSystem,
+    PartitionChain,
     PartitionReport,
     PeriodicPartition,
     are_compatible,
+    build_factor_map,
     canonical_partition,
     compare_projections,
+    dynsys,
     leq,
     lcm as sn_lcm,
     phi0,
+    trivial_partition,
 )
 
 
@@ -167,6 +174,53 @@ def validate_partition_reference(system, blocks):
         nonempty,
         tuple(problems),
     )
+
+
+def _rotation_key(P):
+    """The offsets shifted so that point 0 (first of the first cycle) is in
+    block 0: equal exactly for the cyclic shifts of one partition."""
+    m, r = P.length, P.offsets[0]
+    return tuple((o - r) % m for o in P.offsets)
+
+
+def enumerate_compatible_reference(P1, m2):
+    """enumerate_compatible as it was when it built every candidate as a
+    partition and keyed its class by that partition's rotation."""
+    S = P1.system
+    dynsys._require_period(S, m2)
+    d = math.gcd(P1.length, m2)
+    anchor = P1.offsets
+    found = []
+    for o1 in range(m2):
+        delta = (o1 - anchor[0]) % d
+        per_cycle = [[o1]] + [range((a + delta) % d, m2, d) for a in anchor[1:]]
+        found += itertools.product(*per_cycle)
+    low = [[min(c[-o % m2::m2]) for o in range(m2)] for c in S.cycles]
+    found.sort(key=lambda offs: sorted(map(list.__getitem__, low, offs)))
+    class_ids = {}
+    return [
+        (P, class_ids.setdefault(_rotation_key(P), len(class_ids)))
+        for P in (dynsys._trusted(S, m2, offs) for offs in found)
+    ]
+
+
+def enumerate_factor_maps_reference(S, lengths):
+    """enumerate_factor_maps as it was when it grew chains prefix by prefix
+    through enumerate_compatible and built, checked and normalized every
+    chain through PartitionChain and build_factor_map."""
+    prefixes = [()]
+    for n in dynsys._period_base(S, lengths).levels:
+        nxt = []
+        for pref in prefixes:
+            prev = pref[-1] if pref else trivial_partition(S)
+            for Q, _cid in enumerate_compatible_reference(prev, n):
+                nxt.append(pref + (Q,))
+        prefixes = nxt
+    classes = {}
+    for pref in prefixes:
+        F = build_factor_map(S, PartitionChain(pref))
+        classes.setdefault(_rotation_key(F.chain.partitions[-1]), []).append(F)
+    return list(classes.values())
 
 
 def lcm_labels_reference(P1, P2):

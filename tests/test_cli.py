@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 from adicdyn.cli import run
-from adicdyn.dynsys import MAX_POINTS, ORACLE_LEAVES
+from adicdyn.dynsys import MAX_ENUMERATION, MAX_POINTS, ORACLE_LEAVES
 
 
 def invoke(capsys, *argv):
@@ -263,6 +263,38 @@ def test_oracle_search_is_bounded_before_it_starts():
     )
     assert proc.returncode == 1, proc.stderr
     assert f"2^20 labelings, more than {ORACLE_LEAVES}" in proc.stderr
+
+
+def test_compat_enumerate_is_bounded_before_it_allocates():
+    # 2^20 compatible partitions of twenty 2-cycles once ran out of a 1 GiB
+    # address space after half a minute
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    cycles = "".join(f"({2 * i} {2 * i + 1})" for i in range(20))
+    block = json.dumps([list(range(40))])
+    proc = subprocess.run(
+        [sys.executable, "-m", "adicdyn.cli", "compat", "enumerate", cycles, block, "2"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert f"more than {MAX_ENUMERATION} partitions" in proc.stderr
+
+
+def test_oracle_answers_on_many_cycles():
+    # 1,200 fixed points once overflowed the recursion of the search
+    proc = subprocess.run(
+        [sys.executable, "-m", "adicdyn.cli", "oracle", "(0)", "1", "--size", "1200",
+         "--bound", "1200"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == json.dumps([list(range(1200))], separators=(",", ":")) + "\n"
 
 
 def test_boolean_point_ids_are_parse_errors(capsys):

@@ -244,6 +244,16 @@ def test_oracle_refuses_more_leaves_than_its_limit():
     assert len(all_partitions(helpers.system_of_type((2,) * 12), 2, bound=40)) == 1 << 12
 
 
+def test_oracle_takes_any_number_of_cycles():
+    # the search once recursed one frame per cycle and overflowed the
+    # interpreter's stack on about 1,000 cycles
+    (P,) = all_partitions(FinSystem(tuple(range(1200))), 1, bound=1200)
+    assert P.length == 1 and len(P.offsets) == 1200
+    # a cycle m does not divide is labeled first: its wrap-around rejects
+    # each of the 2^17 candidates before the sixteen 2-cycles are labeled
+    assert all_partitions(helpers.system_of_type((2,) * 16 + (3,)), 2, bound=40) == []
+
+
 def test_oracle_results_are_valid_and_distinct():
     S = helpers.system_of_type((2, 4))
     found = all_partitions(S, 2)

@@ -454,6 +454,98 @@ def test_order_claims_on_every_cycle_type_up_to_ten_points():
             assert [Q for Q, _ in tagged] == oracle
 
 
+def test_enumerations_match_the_prefix_by_prefix_reference():
+    # the offset-space enumerations return what the prefix-by-prefix code
+    # returned: the same classes in the same order, the same class ids and
+    # equal chains, level by level; on every cycle type up to 10 points and
+    # a random relabeling of it, over every divisor chain of the gcd and the
+    # same chain with its top level repeated
+    def levels(classes):
+        return [[[(P.length, P.offsets) for P in F.chain.partitions] for F in c] for c in classes]
+
+    rng = helpers.seeded(1019)
+    for parts in helpers.all_cycle_types(10):
+        g = helpers.cycle_gcd(parts)
+        T = helpers.system_of_type(parts)
+        for S in (T, helpers.random_conjugate(T, rng)):
+            for m1, m2 in itertools.product(helpers.divisors(g), repeat=2):
+                P1 = helpers.random_partition(S, m1, rng)
+                tagged = enumerate_compatible(P1, m2)
+                want = helpers.enumerate_compatible_reference(P1, m2)
+                assert tagged == want, (parts, m1, m2)
+                assert [(Q.offsets, cid) for Q, cid in tagged] == [
+                    (Q.offsets, cid) for Q, cid in want
+                ]
+                assert [dynsys.blocks_json(Q) for Q, _ in tagged] == [
+                    dynsys.blocks_json(Q) for Q, _ in want
+                ]
+            for lengths in helpers.strict_divisor_chains(g):
+                if g % lengths[-1]:
+                    continue
+                for chain in (lengths, lengths + lengths[-1:]):
+                    classes = enumerate_factor_maps(S, chain)
+                    want = helpers.enumerate_factor_maps_reference(S, chain)
+                    assert classes == want, (parts, chain)
+                    assert levels(classes) == levels(want)
+                    for F in (F for cls in classes for F in cls):
+                        assert PartitionChain(F.chain.partitions) == F.chain
+                        assert build_factor_map(S, F.chain) == F
+
+
+def test_enumerations_and_built_chains_run_no_checked_constructor(monkeypatch):
+    # every candidate level and chain is compatible by construction, so the
+    # enumerations, build_chain, extend_chain and normalize_coherent build
+    # them through the trusted constructors alone
+    runs = Counter()
+    for cls in (PeriodicPartition, PartitionChain):
+        check = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda obj, check=check: runs.update([type(obj)]) or check(obj)
+        )
+    rng = helpers.seeded(1020)
+    built = []
+    for parts in [(4, 8), (2, 4, 6), (6, 12), (12,), (2, 2, 2, 2), (3, 3, 6)]:
+        S = helpers.random_conjugate(helpers.system_of_type(parts), rng)
+        g = helpers.cycle_gcd(parts)
+        for lengths in helpers.saturated_chains(g):
+            enumerate_factor_maps(S, lengths[1:] or lengths)
+            enumerate_factor_maps(S, lengths + lengths[-1:])
+            for m1, m2 in itertools.product(lengths, repeat=2):
+                enumerate_compatible(make_compatible(trivial_partition(S), m1), m2)
+            chain = build_chain(S, lengths[1:] or lengths)
+            fits = [
+                m for m in helpers.divisors(g) if all(m % n == 0 or n % m == 0 for n in lengths)
+            ]
+            extended = [dynsys.extend_chain(chain, m) for m in fits]
+            built += [chain, *extended, normalize_coherent(chain, rng.randrange(S.size))]
+    assert runs == Counter()
+    monkeypatch.undo()
+    for C in built:
+        assert PartitionChain(C.partitions) == C
+
+
+def test_enumerations_refuse_more_than_their_limit(monkeypatch):
+    # the closed-form counts, m2 * (m2/d)^(k-1) partitions and
+    # prod(lengths) * n_L^(k-1) maps, are refused above the limit before
+    # anything is built
+    assert dynsys.MAX_ENUMERATION == dynsys.ORACLE_LEAVES == 1 << 16
+    S = helpers.system_of_type((2,) * 17)
+    with pytest.raises(DomainError, match="more than 65536 partitions"):
+        enumerate_compatible(trivial_partition(S), 2)
+    with pytest.raises(DomainError, match="more than 65536 factor maps"):
+        enumerate_factor_maps(S, [2])
+    # exactly at the limit is allowed, one step over it is not
+    S = helpers.system_of_type((4, 4, 4))
+    monkeypatch.setattr(dynsys, "MAX_ENUMERATION", 4 * 2**2)
+    assert len(enumerate_compatible(canonical_partition(S, 2), 4)) == 16
+    with pytest.raises(DomainError):
+        enumerate_compatible(trivial_partition(S), 4)  # 4 * 4^2
+    monkeypatch.setattr(dynsys, "MAX_ENUMERATION", 2 * 4 * 4**2)
+    assert sum(map(len, enumerate_factor_maps(S, [2, 4]))) == 128
+    with pytest.raises(DomainError):
+        enumerate_factor_maps(S, [2, 4, 4])  # 2 * 4 * 4 * 4^2
+
+
 def test_factor_map_is_its_chain():
     # a FactorMap holds (source, chain) alone; its labels, fibers, singleton
     # set, report and order match their point-by-point definitions
