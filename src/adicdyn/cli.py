@@ -23,39 +23,41 @@ class Output(NamedTuple):
     payload: object
 
 
+def _compact(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
 def _json_value(text: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("bad JSON: nested too deeply") from None
 
 
-def _parse_partition(S, text: str):
-    data = _json_value(text)
+def _blocks(data, ints: bool = True) -> list:
+    """data as a block list: an array of arrays of point ids, which are ints
+    unless ints is false (then any scalar, left to validate_chain to report)."""
     if not isinstance(data, list) or not all(isinstance(b, list) for b in data):
         raise ParseError("a partition is a JSON array of point arrays")
     for b in data:
         for x in b:
-            if type(x) is not int:  # JSON true/false are not point ids
+            # JSON true/false are not point ids
+            if type(x) is not int and (ints or isinstance(x, (list, dict))):
                 raise ParseError("partition blocks hold integer point ids")
-    return dynsys.PeriodicPartition.from_blocks(S, data)
-
-
-def _parse_chain_levels(text: str):
-    data = _json_value(text)
-    if not isinstance(data, list) or not all(isinstance(lv, list) for lv in data):
-        raise ParseError("a chain is a JSON array of partitions")
     return data
 
 
-def _parse_lengths(text: str):
-    out = []
-    for tok in text.strip().split(","):
-        try:
-            out.append(int(tok.strip()))
-        except ValueError:
-            raise ParseError(f"bad length {tok.strip()!r}") from None
-    return out
+def _parse_partition(S, text: str):
+    return dynsys.PeriodicPartition.from_blocks(S, _blocks(_json_value(text)))
+
+
+def _parse_chain_levels(text: str, ints: bool) -> list:
+    data = _json_value(text)
+    if not isinstance(data, list) or not all(isinstance(lv, list) for lv in data):
+        raise ParseError("a chain is a JSON array of partitions")
+    return [_blocks(lv, ints) for lv in data]
 
 
 def _system(ns) -> dynsys.FinSystem:
@@ -65,7 +67,7 @@ def _system(ns) -> dynsys.FinSystem:
 def _chain_output(chain) -> Output:
     levels = [dynsys.blocks_json(P) for P in chain.partitions]
     text = [f"levels: {','.join(map(str, chain.lengths))}"]
-    text += [json.dumps(lv, separators=(",", ":")) for lv in levels]
+    text += [_compact(lv) for lv in levels]
     return Output(text, {"levels": list(chain.lengths), "partitions": levels})
 
 
@@ -73,22 +75,15 @@ def _chain_output(chain) -> Output:
 
 
 def _h_sn(ns) -> Output:
-    op = ns.op
-    if op == "phi0":
-        value = supernatural.phi0(ns.n)
-        lit = supernatural.format_supernatural(value)
-        return Output([lit], {"result": lit})
-    if op == "phi-set":
-        value = supernatural.phi_of_set(ns.n)
-        lit = supernatural.format_supernatural(value)
-        return Output([lit], {"result": lit})
-    M = supernatural.parse_supernatural(ns.m)
-    N = supernatural.parse_supernatural(ns.n)
-    if op == "leq":
-        res = supernatural.leq(M, N)
-        return Output(["true" if res else "false"], {"result": res})
-    fn = {"mul": supernatural.mul, "gcd": supernatural.gcd, "lcm": supernatural.lcm}[op]
-    lit = supernatural.format_supernatural(fn(M, N))
+    if ns.op in ("phi0", "phi-set"):
+        value = (supernatural.phi0 if ns.op == "phi0" else supernatural.phi_of_set)(ns.n)
+    else:
+        M = supernatural.parse_supernatural(ns.m)
+        N = supernatural.parse_supernatural(ns.n)
+        value = getattr(supernatural, ns.op)(M, N)  # mul, gcd, lcm or leq
+        if ns.op == "leq":
+            return Output(["true" if value else "false"], {"result": value})
+    lit = supernatural.format_supernatural(value)
     return Output([lit], {"result": lit})
 
 
@@ -107,7 +102,7 @@ def _h_oracle(ns) -> Output:
     S = _system(ns)
     parts = dynsys.all_partitions(S, ns.m, bound=ns.bound)
     serial = [dynsys.blocks_json(P) for P in parts]
-    text = [json.dumps(p, separators=(",", ":")) for p in serial]
+    text = [_compact(p) for p in serial]
     return Output(text or ["(none)"], {"partitions": serial})
 
 
@@ -121,40 +116,33 @@ def _h_compat(ns) -> Output:
     if ns.op == "make":
         P = dynsys.make_compatible(P1, ns.m2)
         serial = dynsys.blocks_json(P)
-        return Output([json.dumps(serial, separators=(",", ":"))], {"partition": serial})
+        return Output([_compact(serial)], {"partition": serial})
     tagged = dynsys.enumerate_compatible(P1, ns.m2)
-    items = [
-        {"blocks": dynsys.blocks_json(P), "class": cid} for P, cid in tagged
-    ]
+    items = [{"blocks": dynsys.blocks_json(P), "class": cid} for P, cid in tagged]
     n_classes = max((cid for _, cid in tagged), default=-1) + 1
-    text = [
-        f"class {it['class']}: {json.dumps(it['blocks'], separators=(',', ':'))}"
-        for it in items
-    ]
-    return Output(
-        text or ["(none)"], {"partitions": items, "class_count": n_classes}
-    )
+    text = [f"class {it['class']}: {_compact(it['blocks'])}" for it in items]
+    return Output(text or ["(none)"], {"partitions": items, "class_count": n_classes})
 
 
 def _h_chain(ns) -> Output:
     S = _system(ns)
     if ns.op == "build":
-        chain = dynsys.build_chain(S, _parse_lengths(ns.lengths))
+        chain = dynsys.build_chain(S, odometer._int_list(ns.lengths, "length"))
         return _chain_output(chain)
-    levels = _parse_chain_levels(ns.chain)
+    levels = _parse_chain_levels(ns.chain, ints=ns.op == "extend")
     if ns.op == "validate":
         report = dynsys.validate_chain(S, levels)
         text = [f"valid: {'true' if report.ok else 'false'}"]
         text += [f"problem: {p}" for p in report.problems]
         return Output(text, {"valid": report.ok, "problems": list(report.problems)})
-    parts = tuple(_parse_partition(S, json.dumps(lv)) for lv in levels)
+    parts = tuple(dynsys.PeriodicPartition.from_blocks(S, lv) for lv in levels)
     chain = dynsys.extend_chain(dynsys.PartitionChain(parts), ns.m)
     return _chain_output(chain)
 
 
 def _h_project(ns) -> Output:
     S = _system(ns)
-    chain = dynsys.build_chain(S, _parse_lengths(ns.lengths))
+    chain = dynsys.build_chain(S, odometer._int_list(ns.lengths, "length"))
     F = factors.build_factor_map(S, chain)
     report = factors.factor_report(F)
     text = [
@@ -177,7 +165,11 @@ def _h_odo(ns) -> Output:
         )
     if op == "cylinder":
         cyl = odometer.cylinder(base, ns.j, ns.residue)
-        members = list(cyl.members_at_full_depth())
+        n = base.levels[-1] // cyl.step  # len(cyl) stops at sys.maxsize
+        if n > dynsys.MAX_POINTS:
+            limit = dynsys.MAX_POINTS
+            raise DomainError(f"a cylinder of {n} points is larger than the limit of {limit}")
+        members = list(cyl)
         return Output(
             [",".join(map(str, members))],
             {"level": ns.j, "residue": ns.residue, "members": members},
@@ -186,13 +178,9 @@ def _h_odo(ns) -> Output:
     if op == "metric":
         y = odometer.parse_adic(base, ns.y)
         dist = odometer.metric(x, y)
-        if dist.agrees_to_depth:
-            text = f"0 (agrees to depth {base.depth})"
-        else:
-            text = str(dist.value)
+        text = f"0 (agrees to depth {base.depth})" if dist.agrees_to_depth else str(dist.value)
         return Output(
-            [text],
-            {"distance": str(dist.value), "agrees_to_depth": dist.agrees_to_depth},
+            [text], {"distance": str(dist.value), "agrees_to_depth": dist.agrees_to_depth}
         )
     if op == "add":
         res = odometer.add(x, odometer.parse_adic(base, ns.y))
@@ -207,6 +195,47 @@ def _h_odo(ns) -> Output:
 # ------------------------------------------------------------------ parser
 
 
+# Each command: its path, its arguments and its handler.  An argument is a
+# positional name, with ":int" for an int and ":ints" for one or more ints,
+# or an int option, with "=default" when that is not None.
+_COMMANDS = (
+    ("sn mul", "m n", _h_sn),
+    ("sn gcd", "m n", _h_sn),
+    ("sn lcm", "m n", _h_sn),
+    ("sn leq", "m n", _h_sn),
+    ("sn phi0", "n:int", _h_sn),
+    ("sn phi-set", "n:ints", _h_sn),
+    ("ess", "cycles --size", _h_ess),
+    ("oracle", "cycles m:int --size --bound=12", _h_oracle),
+    ("compat check", "cycles p1 p2 --size", _h_compat),
+    ("compat make", "cycles p1 m2:int --size", _h_compat),
+    ("compat enumerate", "cycles p1 m2:int --size", _h_compat),
+    ("chain build", "cycles lengths --size", _h_chain),
+    ("chain extend", "cycles chain m:int --size", _h_chain),
+    ("chain validate", "cycles chain --size", _h_chain),
+    ("project", "cycles lengths --size", _h_project),
+    ("odo add", "base x y", _h_odo),
+    ("odo metric", "base x y", _h_odo),
+    ("odo neg", "base x", _h_odo),
+    ("odo translate", "base x", _h_odo),
+    ("odo cylinder", "base j:int residue:int", _h_odo),
+    ("odo truncate", "base k:int", _h_odo),
+)
+
+# the first word of each path, in the order of the top-level help
+_HELP = {
+    "sn": "supernatural-number arithmetic",
+    "ess": "periods of a permutation",
+    "oracle": "enumerate all partitions",
+    "compat": "compatibility of partitions",
+    "chain": "regular chains of partitions",
+    "project": "factor map onto an odometer",
+    "odo": "adic arithmetic over a base chain",
+}
+
+_KINDS = {"": {}, "int": {"type": int}, "ints": {"type": int, "nargs": "+"}}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", help="emit JSON")
@@ -216,97 +245,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="supernatural numbers, periodic partitions, odometers, factor maps",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    sn = sub.add_parser("sn", help="supernatural-number arithmetic")
-    sn_sub = sn.add_subparsers(dest="op", required=True)
-    for op in ("mul", "gcd", "lcm", "leq"):
-        p = sn_sub.add_parser(op, parents=[shared])
-        p.add_argument("m")
-        p.add_argument("n")
-        p.set_defaults(handler=_h_sn)
-    p = sn_sub.add_parser("phi0", parents=[shared])
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_h_sn)
-    p = sn_sub.add_parser("phi-set", parents=[shared])
-    p.add_argument("n", type=int, nargs="+")
-    p.set_defaults(handler=_h_sn)
-
-    p = sub.add_parser("ess", parents=[shared], help="periods of a permutation")
-    p.add_argument("cycles")
-    p.add_argument("--size", type=int, default=None)
-    p.set_defaults(handler=_h_ess)
-
-    p = sub.add_parser("oracle", parents=[shared], help="enumerate all partitions")
-    p.add_argument("cycles")
-    p.add_argument("m", type=int)
-    p.add_argument("--size", type=int, default=None)
-    p.add_argument("--bound", type=int, default=12)
-    p.set_defaults(handler=_h_oracle)
-
-    compat = sub.add_parser("compat", help="compatibility of partitions")
-    compat_sub = compat.add_subparsers(dest="op", required=True)
-    p = compat_sub.add_parser("check", parents=[shared])
-    p.add_argument("cycles")
-    p.add_argument("p1")
-    p.add_argument("p2")
-    p.add_argument("--size", type=int, default=None)
-    p.set_defaults(handler=_h_compat)
-    for op in ("make", "enumerate"):
-        p = compat_sub.add_parser(op, parents=[shared])
-        p.add_argument("cycles")
-        p.add_argument("p1")
-        p.add_argument("m2", type=int)
-        p.add_argument("--size", type=int, default=None)
-        p.set_defaults(handler=_h_compat)
-
-    chain = sub.add_parser("chain", help="regular chains of partitions")
-    chain_sub = chain.add_subparsers(dest="op", required=True)
-    p = chain_sub.add_parser("build", parents=[shared])
-    p.add_argument("cycles")
-    p.add_argument("lengths")
-    p.add_argument("--size", type=int, default=None)
-    p.set_defaults(handler=_h_chain)
-    p = chain_sub.add_parser("extend", parents=[shared])
-    p.add_argument("cycles")
-    p.add_argument("chain")
-    p.add_argument("m", type=int)
-    p.add_argument("--size", type=int, default=None)
-    p.set_defaults(handler=_h_chain)
-    p = chain_sub.add_parser("validate", parents=[shared])
-    p.add_argument("cycles")
-    p.add_argument("chain")
-    p.add_argument("--size", type=int, default=None)
-    p.set_defaults(handler=_h_chain)
-
-    p = sub.add_parser("project", parents=[shared], help="factor map onto an odometer")
-    p.add_argument("cycles")
-    p.add_argument("lengths")
-    p.add_argument("--size", type=int, default=None)
-    p.set_defaults(handler=_h_project)
-
-    odo = sub.add_parser("odo", help="adic arithmetic over a base chain")
-    odo_sub = odo.add_subparsers(dest="op", required=True)
-    for op in ("add", "metric"):
-        p = odo_sub.add_parser(op, parents=[shared])
-        p.add_argument("base")
-        p.add_argument("x")
-        p.add_argument("y")
-        p.set_defaults(handler=_h_odo)
-    for op in ("neg", "translate"):
-        p = odo_sub.add_parser(op, parents=[shared])
-        p.add_argument("base")
-        p.add_argument("x")
-        p.set_defaults(handler=_h_odo)
-    p = odo_sub.add_parser("cylinder", parents=[shared])
-    p.add_argument("base")
-    p.add_argument("j", type=int)
-    p.add_argument("residue", type=int)
-    p.set_defaults(handler=_h_odo)
-    p = odo_sub.add_parser("truncate", parents=[shared])
-    p.add_argument("base")
-    p.add_argument("k", type=int)
-    p.set_defaults(handler=_h_odo)
-
+    groups = {}
+    for path, args, handler in _COMMANDS:
+        head, *op = path.split()
+        if not op:
+            p = sub.add_parser(head, parents=[shared], help=_HELP[head])
+        else:
+            if head not in groups:
+                group = sub.add_parser(head, help=_HELP[head])
+                groups[head] = group.add_subparsers(dest="op", required=True)
+            p = groups[head].add_parser(op[0], parents=[shared])
+        for arg in args.split():
+            if arg.startswith("--"):
+                name, _, default = arg.partition("=")
+                p.add_argument(name, type=int, default=int(default) if default else None)
+            else:
+                name, _, kind = arg.partition(":")
+                p.add_argument(name, **_KINDS[kind])
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -318,12 +274,9 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         out = ns.handler(ns)
-    except ParseError as exc:
+    except (ParseError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
     if ns.json:
         print(json.dumps(out.payload, indent=2))
     else:

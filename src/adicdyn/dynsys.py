@@ -87,7 +87,8 @@ class FinSystem:
         return tuple(pos)
 
     @cached_property
-    def _period_gcd(self) -> int:
+    def period_gcd(self) -> int:
+        """The gcd of the cycle lengths, which every partition length divides."""
         return math.gcd(*map(len, self.cycles))
 
     @cached_property
@@ -461,7 +462,7 @@ def all_partitions(S: FinSystem, m: int, bound: int = 12) -> list:
 
 
 def period_gcd(S: FinSystem) -> int:
-    return S._period_gcd
+    return S.period_gcd
 
 
 def ess_periods(S: FinSystem):
@@ -473,7 +474,7 @@ def ess_periods(S: FinSystem):
     divisor set of that gcd.  (The test suite confirms this against the
     all_partitions oracle.)
     """
-    g = period_gcd(S)
+    g = S.period_gcd
     small = [d for d in range(1, math.isqrt(g) + 1) if g % d == 0]
     return frozenset(small + [g // d for d in small]), phi0(g)
 
@@ -481,7 +482,7 @@ def ess_periods(S: FinSystem):
 def _require_period(S: FinSystem, m) -> None:
     """Refuse m unless it is a partition length of S: a divisor of the gcd
     of the cycle lengths (see ess_periods)."""
-    if not (type(m) is int and m >= 1 and period_gcd(S) % m == 0):
+    if not (type(m) is int and m >= 1 and S.period_gcd % m == 0):
         raise DomainError(f"no partition of length {m} exists")
 
 

@@ -23,7 +23,6 @@ from .dynsys import (
     PartitionChain,
     constant_label_offset,
     cyclic_shift,
-    period_gcd,
     refines,
     trivial_partition,
 )
@@ -42,7 +41,7 @@ from .supernatural import (
 def sigma_of_system(S: FinSystem) -> Supernatural:
     """The top of the odometer sizes S projects onto: those are exactly the
     N with leq(N, sigma_of_system(S))."""
-    return phi0(period_gcd(S))
+    return phi0(S.period_gcd)
 
 
 def projection_exists(S: FinSystem, base: BaseSequence) -> bool:

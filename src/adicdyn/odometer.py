@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .dynsys import FinSystem, PeriodicPartition, canonical_partition
+from .dynsys import MAX_POINTS, FinSystem, PeriodicPartition, canonical_partition
 from .errors import DomainError, ParseError
 from .supernatural import BaseSequence, Supernatural, format_base, phi0
 
@@ -104,32 +104,14 @@ def metric(x: AdicInt, y: AdicInt) -> Distance:
     return Distance(Fraction(0), True)
 
 
-@dataclass(frozen=True)
-class Cylinder:
-    """The set of points whose level-j residue is fixed (j is 1-based)."""
-
-    base: BaseSequence
-    level: int
-    residue: int
-
-    def contains(self, a: AdicInt) -> bool:
-        if a.base != self.base:
-            raise DomainError("point has a different base")
-        return a.residues[self.level - 1] == self.residue
-
-    def members_at_full_depth(self) -> tuple:
-        """The member set of the depth-K truncation, as integers mod n_K."""
-        nK = self.base.levels[-1]
-        nj = self.base.levels[self.level - 1]
-        return tuple(z for z in range(nK) if z % nj == self.residue)
-
-
-def cylinder(base: BaseSequence, j: int, x_j: int) -> Cylinder:
+def cylinder(base: BaseSequence, j: int, x_j: int) -> range:
+    """The level-j cylinder of residue x_j (j is 1-based): the points of the
+    depth-K truncation, as integers mod n_K, whose residue mod n_j is x_j."""
     if not 1 <= j <= base.depth:
         raise DomainError(f"level {j} out of range 1..{base.depth}")
     if not 0 <= x_j < base.levels[j - 1]:
         raise DomainError(f"residue {x_j} out of range for modulus {base.levels[j - 1]}")
-    return Cylinder(base, j, x_j)
+    return range(x_j, base.levels[-1], base.levels[j - 1])
 
 
 def truncate(base: BaseSequence, k: int) -> FinSystem:
@@ -137,11 +119,14 @@ def truncate(base: BaseSequence, k: int) -> FinSystem:
     if not 1 <= k <= base.depth:
         raise DomainError(f"level {k} out of range 1..{base.depth}")
     n = base.levels[k - 1]
+    if n > MAX_POINTS:
+        raise DomainError(f"a truncation of {n} points is larger than the limit of {MAX_POINTS}")
     return FinSystem(tuple((i + 1) % n for i in range(n)))
 
 
 def level_partition(base: BaseSequence, k: int) -> PeriodicPartition:
-    """Level-k cylinders as a periodic partition of the full-depth truncation."""
+    """Level-k cylinders as a periodic partition of the full-depth truncation
+    (so n_K is bounded by MAX_POINTS, as in truncate)."""
     if not 1 <= k <= base.depth:
         raise DomainError(f"level {k} out of range 1..{base.depth}")
     # on the one cycle 0 -> 1 -> ... of the truncation, z lies in cylinder z mod n_k
@@ -154,21 +139,26 @@ def ess_of_odometer(base: BaseSequence) -> Supernatural:
     return phi0(base.levels[-1])
 
 
+def _int_list(text: str, what: str) -> tuple:
+    """The integers of a comma-separated list like ``2, 4,8``; a token that
+    is not one is a ParseError naming it as a bad ``what``."""
+    out = []
+    for tok in map(str.strip, text.split(",")):
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise ParseError(f"bad {what} {tok!r}") from None
+    return tuple(out)
+
+
 def parse_base(text: str) -> BaseSequence:
     """Parse a comma-separated level list like ``2,4,8``.
 
     A literal that denotes an invalid chain (say ``2,3``) is rejected here
     too: everything caught at the text boundary is a ParseError.
     """
-    parts = [p.strip() for p in text.strip().split(",")]
-    levels = []
-    for p in parts:
-        try:
-            levels.append(int(p))
-        except ValueError:
-            raise ParseError(f"bad level {p!r}") from None
     try:
-        return BaseSequence(tuple(levels))
+        return BaseSequence(_int_list(text, "level"))
     except DomainError as exc:
         raise ParseError(str(exc)) from None
 
@@ -179,15 +169,8 @@ def parse_adic(base: BaseSequence, text: str) -> AdicInt:
     if not (s.startswith("[") and s.endswith("]")):
         raise ParseError("residue vector must look like [a1,a2,...]")
     body = s[1:-1].strip()
-    residues = []
-    if body:
-        for tok in body.split(","):
-            try:
-                residues.append(int(tok.strip()))
-            except ValueError:
-                raise ParseError(f"bad residue {tok.strip()!r}") from None
     try:
-        return AdicInt(base, tuple(residues))
+        return AdicInt(base, _int_list(body, "residue") if body else ())
     except DomainError as exc:
         raise ParseError(str(exc)) from None
 

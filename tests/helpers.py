@@ -27,6 +27,7 @@ from adicdyn import (
     build_factor_map,
     canonical_partition,
     compare_projections,
+    cylinder,
     dynsys,
     leq,
     lcm as sn_lcm,
@@ -231,6 +232,14 @@ def lcm_labels_reference(P1, P2):
     solution = {(s % m1, s % m2): s for s in range(lcm(m1, m2))}
     c1, c2 = P1.labels, P2.labels
     return [solution[(c1[x] - c1[0]) % m1, (c2[x] - c2[0]) % m2] for x in range(len(c1))]
+
+
+def cylinder_contains(base, j, r, x):
+    """Whether the point x of the odometer over base lies in the level-j
+    cylinder of residue r: its full-depth residue is a member of cylinder()."""
+    if x.base != base:
+        raise DomainError("point has a different base")
+    return x.residues[-1] in cylinder(base, j, r)
 
 
 def saturation(P1, k, P2, l):

@@ -1,11 +1,17 @@
-"""End-to-end command dispatch: golden outputs, exit codes, JSON stability."""
+"""End-to-end command dispatch: golden outputs, exit codes, JSON stability,
+the shape of every command's parser, and the package's public names."""
 
+import argparse
 import json
 import resource
 import subprocess
 import sys
+import types
 
-from adicdyn.cli import run
+import pytest
+
+import adicdyn
+from adicdyn.cli import _build_parser, run
 from adicdyn.dynsys import MAX_ENUMERATION, MAX_POINTS, ORACLE_LEAVES
 
 
@@ -309,3 +315,130 @@ def test_chain_validate_reports_boolean_point_ids(capsys):
     data = invoke_json(capsys, "chain", "validate", "(0 1 2 3)", "[[[0,2],[true,3]]]")
     assert data["valid"] is False
     assert "point ids out of range" in data["problems"][0]
+
+
+def test_deeply_nested_json_is_a_parse_error(capsys):
+    deep = "[" * 100000
+    for argv in (("compat", "check", "(0 1)", deep, "[[0,1]]"),
+                 ("chain", "validate", "(0 1)", deep)):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, ""), err
+        assert "nested too deeply" in err
+
+
+def test_chain_levels_must_be_block_lists(capsys):
+    # a level that is not an array of arrays, or a block entry that is an
+    # array or an object, once reached the library and raised TypeError
+    shape, ids = "a partition is a JSON array of point arrays", "integer point ids"
+    cases = [("[[1]]", shape), ("[[[0,1]],[2]]", shape), ("[[[[0],[1]]]]", ids),
+             ('[[[0],[{"a":1}]]]', ids)]
+    for chain, message in cases:
+        for argv in (("chain", "validate", "(0 1)", chain),
+                     ("chain", "extend", "(0 1)", chain, "2")):
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out) == (2, ""), (argv, err)
+            assert message in err
+
+
+def test_chain_extend_parses_every_level_before_building(capsys):
+    # a level that is not a periodic partition is a domain error, but only
+    # once every level has parsed
+    assert invoke(capsys, "chain", "extend", "(0 1 2 3)", "[[[0,1],[2,3]]]", "4")[0] == 1
+    code, _, err = invoke(capsys, "chain", "extend", "(0 1 2 3)", "[[[0,1],[2,3]],[2]]", "4")
+    assert code == 2 and "a partition is a JSON array of point arrays" in err
+
+
+def _bounded_run(*argv):
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "adicdyn.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=limit_memory,
+    )
+
+
+def test_truncation_is_bounded_before_allocating():
+    # a 10^12-point truncation once ran out of a 1 GiB address space
+    proc = _bounded_run("odo", "truncate", "1000000000000", "1")
+    assert proc.returncode == 1, proc.stderr
+    assert f"points is larger than the limit of {MAX_POINTS}" in proc.stderr
+
+
+def test_cylinder_is_bounded_before_allocating():
+    # 5 * 10^7 members once ran out of a 1 GiB address space
+    proc = _bounded_run("odo", "cylinder", "2,100000000", "1", "0")
+    assert proc.returncode == 1, proc.stderr
+    assert "a cylinder of 50000000 points is larger than the limit of" in proc.stderr
+    # more members than len() of a range can report
+    proc = _bounded_run("odo", "cylinder", f"2,{2**70}", "1", "0")
+    assert proc.returncode == 1, proc.stderr
+    assert "larger than the limit of" in proc.stderr
+    # one member of a level of 10^9 points, once found by scanning them all
+    proc = _bounded_run("odo", "cylinder", "1000000000,1000000000", "1", "5")
+    assert (proc.returncode, proc.stdout) == (0, "5\n"), proc.stderr
+
+
+# ------------------------------------------------------- parser and package
+
+# every leaf command with arguments it accepts
+LEAVES = {
+    "sn mul": ["2", "3"],
+    "sn gcd": ["2", "3"],
+    "sn lcm": ["2", "3"],
+    "sn leq": ["2", "3"],
+    "sn phi0": ["12"],
+    "sn phi-set": ["2", "3"],
+    "ess": ["(0 1)"],
+    "oracle": ["(0 1)", "2"],
+    "compat check": ["(0 1)", "[[0,1]]", "[[0,1]]"],
+    "compat make": ["(0 1)", "[[0,1]]", "2"],
+    "compat enumerate": ["(0 1)", "[[0,1]]", "2"],
+    "chain build": ["(0 1)", "2"],
+    "chain extend": ["(0 1)", "[[[0],[1]]]", "1"],
+    "chain validate": ["(0 1)", "[[[0],[1]]]"],
+    "project": ["(0 1)", "2"],
+    "odo add": ["2", "[1]", "[1]"],
+    "odo metric": ["2", "[1]", "[0]"],
+    "odo neg": ["2", "[1]"],
+    "odo translate": ["2", "[1]"],
+    "odo cylinder": ["2,4", "1", "0"],
+    "odo truncate": ["2,4", "1"],
+}
+
+
+def _leaf_paths(parser, prefix=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [" ".join(prefix)]
+    return [path for name, p in subs[0].choices.items() for path in _leaf_paths(p, (*prefix, name))]
+
+
+def test_every_leaf_command_is_listed():
+    assert sorted(_leaf_paths(_build_parser())) == sorted(LEAVES)
+
+
+@pytest.mark.parametrize("path", sorted(LEAVES))
+def test_leaf_command_shape(path, capsys):
+    words = path.split()
+    code, usage, _ = invoke(capsys, *words, "--help")
+    assert code == 0 and usage.startswith(f"usage: adicdyn {path} ")
+    assert invoke(capsys, *words, *LEAVES[path])[0] == 0
+    assert invoke(capsys, *words, *LEAVES[path], "--json")[0] == 0
+    assert invoke(capsys, *words)[0] == 2  # positionals missing
+    # an option this command does not take
+    option = next(o for o in ("--size", "--bound", "--seed") if o not in usage)
+    code, out, err = invoke(capsys, *words, *LEAVES[path], option, "3")
+    assert (code, out) == (2, "") and "unrecognized arguments" in err
+
+
+def test_public_names():
+    names = adicdyn.__all__
+    assert names == sorted(names) and len(set(names)) == len(names)
+    for name in names:
+        value = getattr(adicdyn, name)
+        assert not name.startswith("_") and not isinstance(value, types.ModuleType)
+    assert "Cylinder" not in names and "cylinder" in names

@@ -31,6 +31,8 @@ from adicdyn import (
     truncate,
     validate_partition,
 )
+from adicdyn.dynsys import MAX_POINTS
+from helpers import cylinder_contains
 
 BASES = [
     (2, 4, 8),
@@ -200,16 +202,15 @@ def test_generator_lies_in_its_cylinders():
     base = BaseSequence((2, 4, 8))
     e = from_integer(base, 1)
     for j in range(1, base.depth + 1):
-        assert cylinder(base, j, e.residues[j - 1]).contains(e)
+        assert cylinder_contains(base, j, e.residues[j - 1], e)
 
 
 def test_cylinders_partition_each_level():
     base = BaseSequence((2, 4, 8))
     points = [from_integer(base, z) for z in range(8)]
     for j, n_j in enumerate(base.levels, start=1):
-        pieces = [cylinder(base, j, r) for r in range(n_j)]
         for x in points:
-            assert sum(c.contains(x) for c in pieces) == 1
+            assert sum(cylinder_contains(base, j, r, x) for r in range(n_j)) == 1
 
 
 def test_cylinder_intersection_is_cylinder_or_empty():
@@ -222,12 +223,12 @@ def test_cylinder_intersection_is_cylinder_or_empty():
         got = {
             x.residues
             for x in full
-            if cylinder(base, j1, r1).contains(x) and cylinder(base, j2, r2).contains(x)
+            if cylinder_contains(base, j1, r1, x) and cylinder_contains(base, j2, r2, x)
         }
         j = max(j1, j2)
         candidates = [
             frozenset(
-                x.residues for x in full if cylinder(base, j, r).contains(x)
+                x.residues for x in full if cylinder_contains(base, j, r, x)
             )
             for r in range(base.levels[j - 1])
         ]
@@ -250,6 +251,16 @@ def test_truncate_examples():
     T = truncate(base, 1)
     assert T.size == 2 and T.apply(1) == 0
     assert len(truncate(base, 3).cycles) == 1  # single cycle: indecomposable
+
+
+def test_truncations_and_cylinders_are_bounded():
+    with pytest.raises(DomainError, match="larger than the limit"):
+        truncate(BaseSequence((MAX_POINTS + 1,)), 1)
+    with pytest.raises(DomainError, match="larger than the limit"):
+        level_partition(BaseSequence((1, MAX_POINTS + 1)), 1)
+    # a cylinder is its members, listed lazily
+    assert cylinder(BaseSequence((2, 4, 8)), 2, 1) == range(1, 8, 4)
+    assert len(cylinder(BaseSequence((2, 4 * MAX_POINTS)), 1, 1)) == 2 * MAX_POINTS
 
 
 def test_level_partition_examples():
