@@ -10,6 +10,7 @@ byte-stable for identical inputs.  Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import NamedTuple
@@ -236,6 +237,7 @@ _HELP = {
 _KINDS = {"": {}, "int": {"type": int}, "ints": {"type": int, "nargs": "+"}}
 
 
+@functools.cache  # built once per process: parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", help="emit JSON")

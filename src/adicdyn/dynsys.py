@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, quoted
 from .supernatural import BaseSequence, phi0
 
 
@@ -147,7 +147,7 @@ def parse_cycles(text: str, size: int | None = None) -> FinSystem:
             try:
                 v = int(tok)
             except ValueError:
-                raise ParseError(f"bad point {tok!r}") from None
+                raise ParseError(f"bad point {quoted(tok)}") from None
             if v < 0:
                 raise ParseError("point ids are nonnegative")
             if v in seen:

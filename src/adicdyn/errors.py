@@ -12,3 +12,8 @@ class ParseError(ValueError):
 
 class DomainError(ValueError):
     """A well-formed input violates an operation's preconditions."""
+
+
+def quoted(token: str) -> str:
+    """repr(token) for an error message; past 50 characters, its start and its length."""
+    return repr(token) if len(token) <= 50 else f"{token[:50]!r}... ({len(token)} characters)"

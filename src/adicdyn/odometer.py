@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .dynsys import MAX_POINTS, FinSystem, PeriodicPartition, canonical_partition
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, quoted
 from .supernatural import BaseSequence, Supernatural, format_base, phi0
 
 
@@ -61,28 +61,29 @@ def _trusted(base: BaseSequence, residues: tuple) -> AdicInt:
     return x
 
 
+# residue tuples are built from lists: tuple() over a generator costs more on short vectors
 def from_integer(base: BaseSequence, z: int) -> AdicInt:
     """The image of an ordinary integer: residues z mod n_k."""
     if not isinstance(z, int):
         raise DomainError(f"{z!r} is not an integer")
-    return _trusted(base, tuple(z % n for n in base.levels))
+    return _trusted(base, tuple([z % n for n in base.levels]))
 
 
 def add(x: AdicInt, y: AdicInt) -> AdicInt:
     _same_base(x, y)
     return _trusted(
         x.base,
-        tuple((a + b) % n for a, b, n in zip(x.residues, y.residues, x.base.levels)),
+        tuple([(a + b) % n for a, b, n in zip(x.residues, y.residues, x.base.levels)]),
     )
 
 
 def neg(x: AdicInt) -> AdicInt:
-    return _trusted(x.base, tuple(-a % n for a, n in zip(x.residues, x.base.levels)))
+    return _trusted(x.base, tuple([-a % n for a, n in zip(x.residues, x.base.levels)]))
 
 
 def translate(x: AdicInt) -> AdicInt:
     """The odometer step: add the all-ones element."""
-    return _trusted(x.base, tuple((a + 1) % n for a, n in zip(x.residues, x.base.levels)))
+    return _trusted(x.base, tuple([(a + 1) % n for a, n in zip(x.residues, x.base.levels)]))
 
 
 class Distance(NamedTuple):
@@ -147,7 +148,7 @@ def _int_list(text: str, what: str) -> tuple:
         try:
             out.append(int(tok))
         except ValueError:
-            raise ParseError(f"bad {what} {tok!r}") from None
+            raise ParseError(f"bad {what} {quoted(tok)}") from None
     return tuple(out)
 
 

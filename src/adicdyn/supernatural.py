@@ -13,19 +13,21 @@ The exception list (``exps``) is the one stored form, kept canonical:
 primes ascending, no entry equal to the default.  ``mul``, ``gcd`` and
 ``lcm`` are one merge walk over the two ascending lists, which emits
 canonical entries directly, and ``leq`` is the same walk stopped at the
-first failing prime.  ``phi0`` trial-divides by a table of the primes below
-2^14, built once at import; ``phi_of_set`` factors every value into one
-shared prime -> largest exponent table and builds one value from it.
+first failing prime.  An entry on one side only meets the other side's
+default, 0 or INF, so it is kept as it is or dropped, with no arithmetic;
+at a shared prime INF is matched by identity before any int operation.
+``phi0`` trial-divides by a table of the primes below 2^14, built once at
+import; ``phi_of_set`` factors every value into one shared prime ->
+largest exponent table and builds one value from it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, quoted
 
 
 class _Infinity:
@@ -255,78 +257,93 @@ def _rho(n: int) -> int:
     raise DomainError(f"could not split {n}")
 
 
-# a sentinel after the last prime of every exception list in a merge walk
-_END = ((math.inf, None),)
-
-
-def _combine(op, M: Supernatural, N: Supernatural) -> Supernatural:
-    """op applied prime by prime to the exponents of M and N: one merge walk
-    over the two ascending exception lists, which keeps the entries that
-    differ from the result's default and so emits canonical exps."""
+def _combine(op: str, M: Supernatural, N: Supernatural) -> Supernatural:
+    """M op N for op "mul", "gcd" or "lcm": one merge walk over the two
+    ascending exception lists, which emits canonical exps directly.  An entry
+    on one side only is kept as it is (gcd: where the other default is INF;
+    mul, lcm: where it is 0) or else dropped, and so is the tail left when
+    one list runs out; an empty list needs no walk.  At a shared prime INF
+    is matched by identity first: mul and lcm absorb it, gcd skips it."""
     dm, dn = M.default, N.default
-    d = op(dm, dn)
-    a, b = M.exps + _END, N.exps + _END
+    meet = op == "gcd"
+    keep_a, keep_b = (dn is INF) == meet, (dm is INF) == meet
+    d = (dn if dm is INF else dm) if meet else (dm if dm is INF else dn)
+    a, b = M.exps, N.exps
+    if not a or not b:
+        return _trusted((a if keep_a else ()) + (b if keep_b else ()), d)
     out = []
     i = j = 0
-    while True:
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
         p, e = a[i]
         q, f = b[j]
         if p < q:
+            if keep_a:
+                out.append(a[i])
             i += 1
-            r = op(e, dn)
         elif q < p:
+            if keep_b:
+                out.append(b[j])
             j += 1
-            p, r = q, op(dm, f)
-        elif e is None:
-            return _trusted(tuple(out), d)
         else:
             i += 1
             j += 1
-            r = op(e, f)
-        if (r is not INF) if d is INF else r:  # 0 is the only falsy exponent
-            out.append((p, r))
+            if e is INF or f is INF:
+                r = (f if e is INF else e) if meet else INF
+            else:
+                r = e + f if op == "mul" else e if (e < f) == meet else f  # min or max
+            if (r is not INF) if d is INF else r:  # 0 is the only falsy exponent
+                out.append((p, r))
+    if keep_a and i < na:
+        out += a[i:]
+    if keep_b and j < nb:
+        out += b[j:]
+    return _trusted(tuple(out), d)
 
 
 def mul(M: Supernatural, N: Supernatural) -> Supernatural:
     """Exponentwise sum; infinity absorbs."""
-    return _combine(operator.add, M, N)
+    return _combine("mul", M, N)
 
 
 def leq(M: Supernatural, N: Supernatural) -> bool:
     """True iff every exponent of M is at most the one in N: the merge walk
-    of _combine, stopped at the first prime where it fails."""
+    of _combine, stopped at the first prime where it fails: an entry of M
+    only passes iff N's default is INF, one of N only iff M's default is 0."""
     dm, dn = M.default, N.default
-    if not dm <= dn:
+    if dm is INF and dn is not INF:
         return False
-    a, b = M.exps + _END, N.exps + _END
+    a_ok, b_ok = dn is INF, dm is not INF
+    a, b = M.exps, N.exps
     i = j = 0
-    while True:
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
         p, e = a[i]
         q, f = b[j]
         if p < q:
+            if not a_ok:
+                return False
             i += 1
-            ok = e <= dn
         elif q < p:
+            if not b_ok:
+                return False
             j += 1
-            ok = dm <= f
-        elif e is None:
-            return True
         else:
+            if f is not INF and (e is INF or e > f):
+                return False
             i += 1
             j += 1
-            ok = e <= f
-        if not ok:
-            return False
+    return (a_ok or i == na) and (b_ok or j == nb)
 
 
 def gcd(M: Supernatural, N: Supernatural) -> Supernatural:
     """Componentwise minimum of exponents (the lattice meet)."""
-    return _combine(min, M, N)
+    return _combine("gcd", M, N)
 
 
 def lcm(M: Supernatural, N: Supernatural) -> Supernatural:
     """Componentwise maximum of exponents (the lattice join)."""
-    return _combine(max, M, N)
+    return _combine("lcm", M, N)
 
 
 def phi_of_set(values) -> Supernatural:
@@ -442,7 +459,7 @@ def parse_supernatural(text: str) -> Supernatural:
             try:
                 p = int(base_s.strip())
             except ValueError:
-                raise ParseError(f"bad factor {factor!r}") from None
+                raise ParseError(f"bad factor {quoted(factor)}") from None
             if sep:
                 exp_s = exp_s.strip()
                 if exp_s == "inf":
@@ -451,7 +468,7 @@ def parse_supernatural(text: str) -> Supernatural:
                     try:
                         e = int(exp_s)
                     except ValueError:
-                        raise ParseError(f"bad exponent in {factor!r}") from None
+                        raise ParseError(f"bad exponent in {quoted(factor)}") from None
             else:
                 e = 1
             exps.append((p, e))

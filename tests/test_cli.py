@@ -3,6 +3,7 @@ the shape of every command's parser, and the package's public names."""
 
 import argparse
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -92,6 +93,42 @@ def test_invalid_partition_is_exit_1(capsys):
     # well-formed JSON that fails the partition conditions
     code, _, _ = invoke(capsys, "compat", "check", "(0 1)(2 3)", "[[0,1],[2,3]]", "[[0,2],[1,3]]")
     assert code == 1
+
+
+def test_long_tokens_are_cut_in_error_messages(capsys):
+    """A token past Python's 4,300-digit int-string limit is a parse error
+    that quotes the token's first 50 characters and states its length."""
+    digits = "1" * 5000
+    cut = f"'{digits[:50]}'... (5000 characters)"
+    cases = [
+        (("odo", "truncate", f"2,{digits}", "1"), f"bad level {cut}"),
+        (("odo", "neg", "2", f"[{digits}]"), f"bad residue {cut}"),
+        (("chain", "build", "(0 1)", digits), f"bad length {cut}"),
+        (("ess", f"(0 {digits})"), f"bad point {cut}"),
+        (("sn", "gcd", digits, "2"), f"bad factor {cut}"),
+        (("sn", "gcd", f"2^{digits}", "2"),
+         f"bad exponent in '2^{digits[:48]}'... (5002 characters)"),
+        # a token of 50 characters is quoted whole
+        (("odo", "truncate", "2," + "x" * 50, "1"), f"bad level '{'x' * 50}'"),
+    ]
+    for argv, message in cases:
+        assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    """run() builds its parser once per process.  A usage error, a command
+    and two --help requests in turn, in this process, each print what a
+    fresh process prints, with the same exit code."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _build_parser() is _build_parser()
+    env = {**os.environ, "COLUMNS": "80"}
+    calls = (["sn", "gcd", "2"], ["sn", "gcd", "2^3*3", "2^2*3^2"], ["--help"])
+    for argv in (*calls, ["odo", "add", "--help"]):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "adicdyn.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert invoke(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 # ------------------------------------------------------------- subcommands

@@ -148,6 +148,27 @@ def test_results_are_what_the_public_constructor_builds(base, p, q):
     assert neg(x) == from_integer(base, -p)
 
 
+@pytest.mark.parametrize("levels", [(2, 4, 12), (1, 3, 3, 9), (5, 10)])
+def test_residues_are_integer_arithmetic_mod_the_top_level(levels):
+    """Every point of three small bases, and every pair for add, against
+    the residues of z mod n_k computed from the integers themselves."""
+    base = BaseSequence(levels)
+    nK = levels[-1]
+
+    def residues(z):
+        return tuple(z % n for n in levels)
+
+    pts = [from_integer(base, z) for z in range(-nK, 2 * nK)]
+    for z, x in zip(range(-nK, 2 * nK), pts):
+        assert type(x.residues) is tuple and x.residues == residues(z)
+        assert neg(x).residues == residues(-z)
+        assert translate(x).residues == residues(z + 1)
+        for w, y in zip(range(-nK, 2 * nK), pts):
+            assert add(x, y).residues == residues(z + w)
+        for r in (neg(x), translate(x), add(x, x)):
+            assert type(r.residues) is tuple and r.base is base
+
+
 def test_from_integer_rejects_non_integers():
     with pytest.raises(DomainError):
         from_integer(BaseSequence((2, 4)), 2.0)

@@ -351,6 +351,33 @@ def test_operations_match_per_prime_reference(x, y):
     assert leq(M, N) == _reference_leq(x, y)
 
 
+def _small_tables():
+    """Every table over the primes 2, 3, 5 with each prime absent or at 1, 3
+    or INF, under both defaults: 128 tables."""
+    for default in (0, INF):
+        for row in itertools.product((None, 1, 3, INF), repeat=3):
+            yield {p: e for p, e in zip((2, 3, 5), row) if e is not None}, default
+
+
+def test_operations_match_the_reference_on_every_small_pair():
+    """All 16,384 ordered pairs of the 128 small tables: each result is the
+    per-prime reference, in canonical form, with exps a tuple and every
+    infinite exponent the INF singleton."""
+    tables = list(_small_tables())
+    values = [_value(t) for t in tables]
+    assert len(values) == 128
+    for x, M in zip(tables, values):
+        for y, N in zip(tables, values):
+            for op, ref in ((mul, lambda a, b: a + b), (gcd, min), (lcm, max)):
+                R = op(M, N)
+                assert R == _reference(ref, x, y), (op.__name__, x, y)
+                assert_canonical(R)
+                assert type(R.exps) is tuple
+                assert R.default is INF or R.default == 0
+                assert all(type(e) is int or e is INF for _, e in R.exps)
+            assert leq(M, N) == _reference_leq(x, y), (x, y)
+
+
 @given(st.lists(naturals, min_size=1, max_size=5))
 def test_phi_of_set_results_are_canonical(values):
     R = phi_of_set(values)
