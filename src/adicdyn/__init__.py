@@ -28,7 +28,6 @@ from .dynsys import (
     make_compatible,
     parse_cycles,
     partition_from_return,
-    period_gcd,
     trivial_partition,
     validate_chain,
     validate_partition,

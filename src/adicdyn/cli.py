@@ -16,7 +16,7 @@ import sys
 from typing import NamedTuple
 
 from . import dynsys, factors, odometer, supernatural
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, parse_int, parse_ints
 
 
 class Output(NamedTuple):
@@ -128,7 +128,7 @@ def _h_compat(ns) -> Output:
 def _h_chain(ns) -> Output:
     S = _system(ns)
     if ns.op == "build":
-        chain = dynsys.build_chain(S, odometer._int_list(ns.lengths, "length"))
+        chain = dynsys.build_chain(S, parse_ints(ns.lengths, "bad length"))
         return _chain_output(chain)
     levels = _parse_chain_levels(ns.chain, ints=ns.op == "extend")
     if ns.op == "validate":
@@ -143,7 +143,7 @@ def _h_chain(ns) -> Output:
 
 def _h_project(ns) -> Output:
     S = _system(ns)
-    chain = dynsys.build_chain(S, odometer._int_list(ns.lengths, "length"))
+    chain = dynsys.build_chain(S, parse_ints(ns.lengths, "bad length"))
     F = factors.build_factor_map(S, chain)
     report = factors.factor_report(F)
     text = [
@@ -234,7 +234,16 @@ _HELP = {
     "odo": "adic arithmetic over a base chain",
 }
 
-_KINDS = {"": {}, "int": {"type": int}, "ints": {"type": int, "nargs": "+"}}
+
+def _int_arg(text: str) -> int:
+    """argparse's type for an int: parse_int, in argparse's words."""
+    try:
+        return parse_int(text, "invalid int value:")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+_KINDS = {"": {}, "int": {"type": _int_arg}, "ints": {"type": _int_arg, "nargs": "+"}}
 
 
 @functools.cache  # built once per process: parse_args leaves the parser as it was
@@ -260,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for arg in args.split():
             if arg.startswith("--"):
                 name, _, default = arg.partition("=")
-                p.add_argument(name, type=int, default=int(default) if default else None)
+                p.add_argument(name, type=_int_arg, default=int(default) if default else None)
             else:
                 name, _, kind = arg.partition(":")
                 p.add_argument(name, **_KINDS[kind])

@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import DomainError, ParseError, quoted
+from .errors import DomainError, ParseError, parse_int, quoted, require_int
 from .supernatural import BaseSequence, phi0
 
 
@@ -99,19 +99,21 @@ class FinSystem:
                 idx[x] = i
         return tuple(idx)
 
+    def _point(self, x: int) -> int:
+        """x, if it is a point of the system; else a DomainError."""
+        return require_int(x, "point {} out of range", 0, self.size)
+
     def cycle_of(self, x: int) -> tuple:
-        if not 0 <= x < self.size:
-            raise DomainError(f"point {x} out of range")
-        return self.cycles[self._cycle_index[x]]
+        return self.cycles[self._cycle_index[self._point(x)]]
 
     def apply(self, x: int) -> int:
-        return self.forward[x]
+        return self.forward[self._point(x)]
 
     def iterate(self, x: int, n: int) -> int:
         """f^n(x) for any integer n (negative means the inverse)."""
         cyc = self.cycle_of(x)
         i = cyc.index(x)
-        return cyc[(i + n) % len(cyc)]
+        return cyc[(i + require_int(n, "{!r} is not an integer")) % len(cyc)]
 
     def __str__(self) -> str:
         return format_cycles(self)
@@ -134,7 +136,7 @@ def parse_cycles(text: str, size: int | None = None) -> FinSystem:
     s = text.strip()
     leftover = _CYCLE_RE.sub("", s).strip()
     if leftover:
-        raise ParseError(f"unexpected text in cycle notation: {leftover!r}")
+        raise ParseError(f"unexpected text in cycle notation: {quoted(leftover)}")
     seen = set()
     cycles = []
     max_point = -1
@@ -144,10 +146,7 @@ def parse_cycles(text: str, size: int | None = None) -> FinSystem:
             raise ParseError("empty cycle")
         pts = []
         for tok in tokens:
-            try:
-                v = int(tok)
-            except ValueError:
-                raise ParseError(f"bad point {quoted(tok)}") from None
+            v = parse_int(tok, "bad point")
             if v < 0:
                 raise ParseError("point ids are nonnegative")
             if v in seen:
@@ -204,13 +203,27 @@ class PartitionReport:
 _CLOPEN = "vacuous on a finite discrete space"
 
 
+def _step_offsets(system: FinSystem, labels, m: int):
+    """The offsets of a labeling (labels[x] for each point x) whose labels
+    step by one mod m along every cycle, or None: the step rule
+    c(f(x)) = c(x) + 1 mod m.  A cycle then walks through every label, so
+    no block is empty."""
+    offsets = []
+    for c in system.cycles:
+        # a run of len(c) labels, which m must divide for the wrap-around
+        o = labels[c[0]]
+        if [labels[x] for x in c] != [*range(o, m), *range(o)] * (len(c) // m):
+            return None
+        offsets.append(o)
+    return offsets
+
+
 def _offsets(system: FinSystem, blocks: list):
     """The offsets of a block list (a list of tuples) that is a periodic
     partition of system listing no point twice, or None.
 
     The block list is read as a labeling, lab[x] the index of the block
-    holding x, and accepted when the labels step by one mod m along every
-    cycle; a cycle then walks through every label, so no block is empty.
+    holding x, and accepted when it keeps the step rule (_step_offsets).
     N int ids in 0..N-1 with every point labeled are one block each, and the
     step rule gives f(W_i) within W_{i+1}, so, f being one-to-one, equal.
     """
@@ -223,14 +236,7 @@ def _offsets(system: FinSystem, blocks: list):
     for j, b in enumerate(blocks):
         for x in b:
             lab[x] = j
-    offsets = []
-    for c in system.cycles:
-        # a run of len(c) labels, which m must divide for the wrap-around
-        o = lab[c[0]]
-        if [lab[x] for x in c] != [*range(o, m), *range(o)] * (len(c) // m):
-            return None
-        offsets.append(o)
-    return offsets
+    return _step_offsets(system, lab, m)
 
 
 def validate_partition(system: FinSystem, blocks) -> PartitionReport:
@@ -308,11 +314,9 @@ class PeriodicPartition:
     in block (offsets[i] + t) mod m.  .labels, .blocks and key() are derived
     on demand; equality is equality of labelings.
 
-    PeriodicPartition(system, labels) checks the labeling clause
-    c(f(x)) = c(x) + 1 mod m at every point, with m = max(labels) + 1.  No
-    block can then be empty: the wrap-around around a cycle forces its
-    length to be a multiple of m, so every cycle walks through all m labels.
-    Block lists from outside go through from_blocks.
+    PeriodicPartition(system, labels) checks the step rule c(f(x)) = c(x) + 1
+    mod m along every cycle (_step_offsets), with m = max(labels) + 1.  Block
+    lists from outside go through from_blocks.
     """
 
     system: FinSystem
@@ -327,19 +331,19 @@ class PeriodicPartition:
     def __post_init__(self):
         labels = tuple(self.labels)
         object.__setattr__(self, "labels", labels)
-        fwd = self.system.forward
-        if len(labels) != len(fwd):
-            raise DomainError(f"{len(labels)} labels for {len(fwd)} points")
+        n = self.system.size
+        if len(labels) != n:
+            raise DomainError(f"{len(labels)} labels for {n} points")
         if set(map(type, labels)) != {int} or min(labels) < 0:
             raise DomainError("labels are nonnegative integers")
         m = max(labels) + 1
-        if m > len(labels):  # every cycle length is a multiple of m
-            raise DomainError(f"{m} blocks on {len(labels)} points")
-        succ = [*range(1, m), 0]  # succ[c] = c + 1 mod m
-        if list(map(succ.__getitem__, labels)) != list(map(labels.__getitem__, fwd)):
+        if m > n:  # every cycle length is a multiple of m
+            raise DomainError(f"{m} blocks on {n} points")
+        offsets = _step_offsets(self.system, labels, m)
+        if offsets is None:
             raise DomainError(f"labels do not step by one mod {m} along f")
         object.__setattr__(self, "length", m)
-        object.__setattr__(self, "offsets", tuple(labels[c[0]] for c in self.system.cycles))
+        object.__setattr__(self, "offsets", tuple(offsets))
 
     @classmethod
     def from_blocks(cls, system: FinSystem, blocks) -> PeriodicPartition:
@@ -368,7 +372,7 @@ class PeriodicPartition:
         """The index of the block containing x: its cycle's offset plus the
         steps from that cycle's first point."""
         S = self.system
-        i = S._cycle_index[x]
+        i = S._cycle_index[S._point(x)]
         return (self.offsets[i] + S._position[x] - S._position[S.cycles[i][0]]) % self.length
 
     def key(self):
@@ -399,8 +403,7 @@ def trivial_partition(S: FinSystem) -> PeriodicPartition:
 
 def canonical_partition(S: FinSystem, m: int) -> PeriodicPartition:
     """The reference length-m partition: each cycle's smallest point in block 0."""
-    if not isinstance(m, int) or m < 1:
-        raise DomainError("length must be a positive integer")
+    require_int(m, "length must be a positive integer", 1)
     for cyc in S.cycles:
         if len(cyc) % m:
             raise DomainError(f"no partition of length {m} exists (cycle of length {len(cyc)})")
@@ -428,8 +431,7 @@ def all_partitions(S: FinSystem, m: int, bound: int = 12) -> list:
     once; a search with more than ORACLE_LEAVES leaves (m to the number of
     cycles before that one) is refused before it starts.
     """
-    if not isinstance(m, int) or m < 1:
-        raise DomainError("length must be a positive integer")
+    require_int(m, "length must be a positive integer", 1)
     if S.size > bound or m > bound:
         raise DomainError(f"oracle bound {bound} exceeded")
     cycles = S.cycles
@@ -461,10 +463,6 @@ def all_partitions(S: FinSystem, m: int, bound: int = 12) -> list:
     return out
 
 
-def period_gcd(S: FinSystem) -> int:
-    return S.period_gcd
-
-
 def ess_periods(S: FinSystem):
     """All lengths of periodic partitions, with their joint factorization.
 
@@ -482,8 +480,9 @@ def ess_periods(S: FinSystem):
 def _require_period(S: FinSystem, m) -> None:
     """Refuse m unless it is a partition length of S: a divisor of the gcd
     of the cycle lengths (see ess_periods)."""
-    if not (type(m) is int and m >= 1 and S.period_gcd % m == 0):
-        raise DomainError(f"no partition of length {m} exists")
+    message = "no partition of length {} exists"
+    if S.period_gcd % require_int(m, message, 1):
+        raise DomainError(message.format(m))
 
 
 def _period_base(S: FinSystem, lengths) -> BaseSequence:
@@ -498,7 +497,7 @@ def _period_base(S: FinSystem, lengths) -> BaseSequence:
 def cyclic_shift(P: PeriodicPartition, k: int) -> PeriodicPartition:
     """Reindex so the old block k becomes block 0."""
     m = P.length
-    k %= m
+    k = require_int(k, "{!r} is not an integer") % m
     if k == 0:
         return P
     return _trusted(P.system, m, [(o - k) % m for o in P.offsets])
@@ -515,8 +514,9 @@ def are_equivalent(P1: PeriodicPartition, P2: PeriodicPartition) -> bool:
 
 def coarsen(P: PeriodicPartition, d: int) -> PeriodicPartition:
     """Merge blocks with indices congruent mod d into a length-d partition."""
-    if not isinstance(d, int) or d < 1 or P.length % d:
-        raise DomainError(f"{d} does not divide the length {P.length}")
+    message = f"{{}} does not divide the length {P.length}"
+    if P.length % require_int(d, message, 1):
+        raise DomainError(message.format(d))
     return _trusted(P.system, d, [o % d for o in P.offsets])
 
 
@@ -751,17 +751,18 @@ def validate_chain(system: FinSystem, levels) -> ChainReport:
         i for i, (A, B) in enumerate(zip(parts, parts[1:])) if not are_compatible(A, B)
     ]
     problems += [f"levels {i} and {i + 1} are incompatible" for i in incompatible]
-    pairwise = True
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            if not are_compatible(parts[i], parts[j]):
-                pairwise = False
-                problems.append(f"levels {i} and {j} are incompatible")
+    # the consecutive pairs are listed above; only the others are left
+    distant = [
+        (i, j) for i in range(len(parts)) for j in range(i + 2, len(parts))
+        if not are_compatible(parts[i], parts[j])
+    ]
+    problems += [f"levels {i} and {j} are incompatible" for i, j in distant]
     if divides:
         problems += [f"level {i + 1} does not refine level {i} blockwise" for i in incompatible]
     consecutive = not incompatible
     return ChainReport(
-        levels_valid, divides, consecutive, pairwise, divides and consecutive, tuple(problems)
+        levels_valid, divides, consecutive, consecutive and not distant, divides and consecutive,
+        tuple(problems),
     )
 
 
@@ -784,8 +785,7 @@ def extend_chain(chain: PartitionChain, m: int) -> PartitionChain:
     levels are built with make_compatible; interior and front fits coarsen
     the next finer level, which stays compatible with both neighbours.
     """
-    if not isinstance(m, int) or m < 1:
-        raise DomainError("length must be a positive integer")
+    require_int(m, "length must be a positive integer", 1)
     lengths = chain.lengths
     if m in lengths:
         return chain
@@ -826,11 +826,9 @@ def partition_from_return(S: FinSystem, x: int, U):
     (m, partition).
     """
     U = frozenset(U)
-    if not 0 <= x < S.size:
-        raise DomainError(f"point {x} out of range")
+    cyc = S.cycle_of(x)
     if x not in U:
         raise DomainError("the set must contain the base point")
-    cyc = S.cycle_of(x)
     L = len(cyc)
     i = cyc.index(x)
     walk = cyc[i:] + cyc[:i]  # walk[u] = f^u(x)

@@ -1,8 +1,11 @@
-"""Error types shared by every module.
+"""Error types shared by every module, and the one policy for integers from
+outside the package.
 
-Both derive from ValueError so callers who don't care about the split can
-catch one thing.  The CLI maps ParseError to exit code 2 and DomainError to
-exit code 1.
+Both error types derive from ValueError so callers who don't care about the
+split can catch one thing.  The CLI maps ParseError to exit code 2 and
+DomainError to exit code 1.  An integer in text is read by parse_int (or
+parse_ints, for a comma-separated list), and an integer argument is checked
+by require_int, which refuses bool and every other type but int.
 """
 
 
@@ -17,3 +20,25 @@ class DomainError(ValueError):
 def quoted(token: str) -> str:
     """repr(token) for an error message; past 50 characters, its start and its length."""
     return repr(token) if len(token) <= 50 else f"{token[:50]!r}... ({len(token)} characters)"
+
+
+def parse_int(token: str, what: str, shown: str | None = None) -> int:
+    """The int the token spells; else a ParseError that reads ``what`` and
+    then the quoted token, or the quoted text shown in its place."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"{what} {quoted(token if shown is None else shown)}") from None
+
+
+def parse_ints(text: str, what: str) -> tuple:
+    """The ints of a comma-separated list like ``2, 4,8``, each read by parse_int."""
+    return tuple([parse_int(tok.strip(), what) for tok in text.split(",")])
+
+
+def require_int(value, message: str, low=float("-inf"), high=float("inf")) -> int:
+    """value, if it is an int (a bool is not) with low <= value < high; else
+    a DomainError with message.format(value)."""
+    if type(value) is not int or not low <= value < high:
+        raise DomainError(message.format(value))
+    return value

@@ -26,7 +26,7 @@ from .dynsys import (
     refines,
     trivial_partition,
 )
-from .errors import DomainError
+from .errors import DomainError, require_int
 from .odometer import AdicInt, BaseSequence, ess_of_odometer
 from .supernatural import (
     INF,
@@ -51,8 +51,6 @@ def projection_exists(S: FinSystem, base: BaseSequence) -> bool:
 
 def normalize_coherent(chain: PartitionChain, x: int) -> PartitionChain:
     """Shift every level so x lies in block 0; a no-op if it already does."""
-    if not 0 <= x < chain.system.size:
-        raise DomainError(f"point {x} out of range")
     shifts = [P.index_of(x) for P in chain.partitions]
     if not any(shifts):
         return chain
@@ -159,8 +157,7 @@ def max_odometer_factor(S: FinSystem, depth: int | None = None):
     if depth is None:
         exps = [e for _, e in top.exps if e is not INF]
         depth = max(1, len(top.exps) + (max(exps) if exps else 0))
-    if not isinstance(depth, int) or depth < 1:
-        raise DomainError("depth must be a positive integer")
+    require_int(depth, "depth must be a positive integer", 1)
     seq = extract_regular_sequence(top, depth)
     chain = dynsys.build_chain(S, seq)
     return seq, build_factor_map(S, chain)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .dynsys import MAX_POINTS, FinSystem, PeriodicPartition, canonical_partition
-from .errors import DomainError, ParseError, quoted
+from .errors import DomainError, ParseError, parse_ints, require_int
 from .supernatural import BaseSequence, Supernatural, format_base, phi0
 
 
@@ -31,8 +31,7 @@ class AdicInt:
         if len(res) != self.base.depth:
             raise DomainError("residue count does not match the base depth")
         for a, n in zip(res, self.base.levels):
-            if not isinstance(a, int) or not 0 <= a < n:
-                raise DomainError(f"residue {a!r} out of range for modulus {n}")
+            require_int(a, f"residue {{!r}} out of range for modulus {n}", 0, n)
         for k in range(self.base.depth - 1):
             if res[k + 1] % self.base.levels[k] != res[k]:
                 raise DomainError(
@@ -64,8 +63,7 @@ def _trusted(base: BaseSequence, residues: tuple) -> AdicInt:
 # residue tuples are built from lists: tuple() over a generator costs more on short vectors
 def from_integer(base: BaseSequence, z: int) -> AdicInt:
     """The image of an ordinary integer: residues z mod n_k."""
-    if not isinstance(z, int):
-        raise DomainError(f"{z!r} is not an integer")
+    require_int(z, "{!r} is not an integer")
     return _trusted(base, tuple([z % n for n in base.levels]))
 
 
@@ -105,21 +103,23 @@ def metric(x: AdicInt, y: AdicInt) -> Distance:
     return Distance(Fraction(0), True)
 
 
+def _level(base: BaseSequence, k: int) -> int:
+    """n_k, the modulus of level k (1-based) of base."""
+    depth = base.depth
+    return base.levels[require_int(k, f"level {{}} out of range 1..{depth}", 1, depth + 1) - 1]
+
+
 def cylinder(base: BaseSequence, j: int, x_j: int) -> range:
     """The level-j cylinder of residue x_j (j is 1-based): the points of the
     depth-K truncation, as integers mod n_K, whose residue mod n_j is x_j."""
-    if not 1 <= j <= base.depth:
-        raise DomainError(f"level {j} out of range 1..{base.depth}")
-    if not 0 <= x_j < base.levels[j - 1]:
-        raise DomainError(f"residue {x_j} out of range for modulus {base.levels[j - 1]}")
-    return range(x_j, base.levels[-1], base.levels[j - 1])
+    n_j = _level(base, j)
+    require_int(x_j, f"residue {{}} out of range for modulus {n_j}", 0, n_j)
+    return range(x_j, base.levels[-1], n_j)
 
 
 def truncate(base: BaseSequence, k: int) -> FinSystem:
     """The depth-k truncation: the rotation i -> i+1 on Z_{n_k}."""
-    if not 1 <= k <= base.depth:
-        raise DomainError(f"level {k} out of range 1..{base.depth}")
-    n = base.levels[k - 1]
+    n = _level(base, k)
     if n > MAX_POINTS:
         raise DomainError(f"a truncation of {n} points is larger than the limit of {MAX_POINTS}")
     return FinSystem(tuple((i + 1) % n for i in range(n)))
@@ -128,28 +128,15 @@ def truncate(base: BaseSequence, k: int) -> FinSystem:
 def level_partition(base: BaseSequence, k: int) -> PeriodicPartition:
     """Level-k cylinders as a periodic partition of the full-depth truncation
     (so n_K is bounded by MAX_POINTS, as in truncate)."""
-    if not 1 <= k <= base.depth:
-        raise DomainError(f"level {k} out of range 1..{base.depth}")
+    n_k = _level(base, k)
     # on the one cycle 0 -> 1 -> ... of the truncation, z lies in cylinder z mod n_k
-    return canonical_partition(truncate(base, base.depth), base.levels[k - 1])
+    return canonical_partition(truncate(base, base.depth), n_k)
 
 
 def ess_of_odometer(base: BaseSequence) -> Supernatural:
     """The joint factorization of the levels: the levels form a divisibility
     chain, so their join is phi0 of the top level n_K."""
     return phi0(base.levels[-1])
-
-
-def _int_list(text: str, what: str) -> tuple:
-    """The integers of a comma-separated list like ``2, 4,8``; a token that
-    is not one is a ParseError naming it as a bad ``what``."""
-    out = []
-    for tok in map(str.strip, text.split(",")):
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise ParseError(f"bad {what} {quoted(tok)}") from None
-    return tuple(out)
 
 
 def parse_base(text: str) -> BaseSequence:
@@ -159,7 +146,7 @@ def parse_base(text: str) -> BaseSequence:
     too: everything caught at the text boundary is a ParseError.
     """
     try:
-        return BaseSequence(_int_list(text, "level"))
+        return BaseSequence(parse_ints(text, "bad level"))
     except DomainError as exc:
         raise ParseError(str(exc)) from None
 
@@ -171,7 +158,7 @@ def parse_adic(base: BaseSequence, text: str) -> AdicInt:
         raise ParseError("residue vector must look like [a1,a2,...]")
     body = s[1:-1].strip()
     try:
-        return AdicInt(base, _int_list(body, "residue") if body else ())
+        return AdicInt(base, parse_ints(body, "bad residue") if body else ())
     except DomainError as exc:
         raise ParseError(str(exc)) from None
 

@@ -27,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ParseError, quoted
+from .errors import DomainError, ParseError, parse_int, require_int
 
 
 class _Infinity:
@@ -74,7 +74,7 @@ PRIMALITY_LIMIT = 3317044064679887385961981
 
 def _is_prime(n: int) -> bool:
     """Exact primality for n below PRIMALITY_LIMIT; DomainError above it."""
-    if not isinstance(n, int) or n < 2:
+    if type(n) is not int or n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
@@ -184,8 +184,7 @@ _TRIAL_PRIMES = tuple(itertools.compress(range(_TRIAL_LIMIT), _SMALL_PRIME))
 def _factor(n: int) -> list:
     """The prime factorization of the positive int n, as (prime, exponent)
     pairs with the primes ascending."""
-    if type(n) is not int or n < 1:
-        raise DomainError("phi0 expects a positive integer")
+    require_int(n, "phi0 expects a positive integer", 1)
     out = []
     for p in _TRIAL_PRIMES:
         if p * p > n:
@@ -380,8 +379,7 @@ class BaseSequence:
         if not levels:
             raise DomainError("a base needs at least one level")
         for n in levels:
-            if type(n) is not int or n < 1:
-                raise DomainError(f"bad level {n!r}: levels are positive integers")
+            require_int(n, "bad level {!r}: levels are positive integers", 1)
         for a, b in zip(levels, levels[1:]):
             if b % a:
                 raise DomainError(f"{a} does not divide {b}")
@@ -413,8 +411,7 @@ def extract_regular_sequence(R: Supernatural, depth: int) -> BaseSequence:
     the largest finite exponent.  Requires default 0 — with all but
     finitely many exponents infinite there is no finite chain to extract.
     """
-    if not isinstance(depth, int) or depth < 1:
-        raise DomainError("depth must be a positive integer")
+    require_int(depth, "depth must be a positive integer", 1)
     if R.default is INF:
         raise DomainError("cannot extract a chain from a value with default inf")
     support = R.exps  # canonical form: every listed exponent > 0
@@ -435,42 +432,29 @@ def parse_supernatural(text: str) -> Supernatural:
     Bare primes mean exponent 1.  Anything malformed — including non-prime
     factors — raises ParseError.
     """
-    s = text.strip()
+    s, clause, tail = text.partition(";")
+    s = s.strip()
     default = 0
-    has_default_clause = False
-    if ";" in s:
-        s, _, tail = s.partition(";")
-        s = s.strip()
+    if clause:
         tail = tail.strip()
-        has_default_clause = True
-        if tail == "default=0":
-            default = 0
-        elif tail == "default=inf":
+        if tail == "default=inf":
             default = INF
-        else:
+        elif tail != "default=0":
             raise ParseError(f"bad default clause {tail!r}")
-    if s == "" and not has_default_clause:
+    elif not s:
         raise ParseError("empty literal")
     exps = []
     if s not in ("", "1"):
         for factor in s.split("*"):
             factor = factor.strip()
             base_s, sep, exp_s = factor.partition("^")
-            try:
-                p = int(base_s.strip())
-            except ValueError:
-                raise ParseError(f"bad factor {quoted(factor)}") from None
-            if sep:
-                exp_s = exp_s.strip()
-                if exp_s == "inf":
-                    e = INF
-                else:
-                    try:
-                        e = int(exp_s)
-                    except ValueError:
-                        raise ParseError(f"bad exponent in {quoted(factor)}") from None
-            else:
+            p = parse_int(base_s, "bad factor", factor)
+            if not sep:
                 e = 1
+            elif exp_s.strip() == "inf":
+                e = INF
+            else:
+                e = parse_int(exp_s, "bad exponent in", factor)
             exps.append((p, e))
     try:
         return Supernatural(tuple(exps), default)

@@ -113,6 +113,24 @@ def test_long_tokens_are_cut_in_error_messages(capsys):
     ]
     for argv, message in cases:
         assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
+    # every argparse int argument, and text left over around the cycles
+    for argv in (
+        ("odo", "truncate", "2", digits),
+        ("odo", "cylinder", "2", digits, "0"),
+        ("odo", "cylinder", "2", "1", digits),
+        ("oracle", "(0 1)", digits),
+        ("ess", "(0 1)", "--size", digits),
+        ("oracle", "(0 1)", "2", "--bound", digits),
+        ("sn", "phi0", digits),
+        ("sn", "phi-set", "2", digits),
+        ("compat", "make", "(0 1)", "[[0,1]]", digits),
+        ("compat", "enumerate", "(0 1)", "[[0,1]]", digits),
+        ("chain", "extend", "(0 1)", "[[[0],[1]]]", digits),
+        ("ess", "(0 1) " + "x" * 5000),
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.encode()) < 300 and "'... (5000 characters)" in err, argv
 
 
 def test_one_parser_serves_every_call(capsys, monkeypatch):
@@ -168,6 +186,14 @@ def test_chain_validate_reports_problems(capsys):
     data = invoke_json(capsys, "chain", "validate", "(0 1 2 3)", bad)
     assert data["valid"] is False
     assert data["problems"]
+    # a consecutive incompatible pair is listed once, then the distant pairs
+    levels = "[[[0,2,4,6],[1,3,5,7]],[[0,4],[1,5],[2,6],[3,7]],[[0,5],[1,6],[2,7],[3,4]]]"
+    assert invoke(capsys, "chain", "validate", "(0 1 2 3)(4 5 6 7)", levels) == (0, (
+        "valid: false\n"
+        "problem: levels 1 and 2 are incompatible\n"
+        "problem: levels 0 and 2 are incompatible\n"
+        "problem: level 2 does not refine level 1 blockwise\n"
+    ), "")
 
 
 def test_chain_extend(capsys):

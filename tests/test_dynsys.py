@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adicdyn import (
+    AdicInt,
     BaseSequence,
     DomainError,
     FinSystem,
@@ -23,17 +24,26 @@ from adicdyn import (
     constant_label_offset,
     cycle_subsystem,
     cyclic_shift,
+    cylinder,
     enumerate_compatible,
     ess_periods,
     extend_chain,
+    extract_regular_sequence,
     format_cycles,
     format_supernatural,
+    from_integer,
     is_indecomposable,
     lcm_partition,
+    level_partition,
     make_compatible,
+    max_odometer_factor,
+    normalize_coherent,
     parse_cycles,
     partition_from_return,
+    phi0,
+    phi_of_set,
     trivial_partition,
+    truncate,
     validate_chain,
     validate_partition,
 )
@@ -650,6 +660,49 @@ def test_make_compatible_rejects_non_int_length():
             make_compatible(trivial_partition(S), m)
         with pytest.raises(DomainError, match=f"no partition of length {m} exists"):
             enumerate_compatible(trivial_partition(S), m)
+
+
+def test_every_integer_argument_is_checked_by_one_rule():
+    """Each integer entry point refuses a bool, a float and an int out of
+    its range as a domain error; listed with each are the values it refuses
+    of True, 1.5, -1 and 0."""
+    S = helpers.system_of_type((4, 4))
+    P2 = canonical_partition(S, 2)
+    chain = build_chain(S, [2, 4])
+    base = BaseSequence((2, 4))
+    every = (True, 1.5, -1, 0)
+    points = (True, 1.5, -1, S.size)
+    cases = [
+        (lambda m: canonical_partition(S, m), every),
+        (lambda m: all_partitions(S, m), every),
+        (lambda m: extend_chain(chain, m), every),
+        (lambda d: coarsen(P2, d), every),
+        (lambda m: make_compatible(P2, m), every),
+        (lambda m: enumerate_compatible(P2, m), every),
+        (lambda n: build_chain(S, [n]), every),
+        (lambda n: BaseSequence((n,)), every),
+        (lambda n: phi0(n), every),
+        (lambda n: phi_of_set([2, n]), every),
+        (lambda k: extract_regular_sequence(phi0(12), k), every),
+        (lambda k: max_odometer_factor(S, k), every),
+        (lambda k: truncate(base, k), every),
+        (lambda k: level_partition(base, k), every),
+        (lambda j: cylinder(base, j, 0), every),
+        (lambda a: cylinder(base, 1, a), (True, 1.5, -1, 2)),
+        (lambda a: AdicInt(base, (a, 1)), (True, 1.5, -1, 2)),
+        (lambda z: from_integer(base, z), (True, 1.5)),
+        (lambda k: cyclic_shift(P2, k), (True, 1.5)),
+        (lambda n: S.iterate(0, n), (True, 1.5)),
+        (lambda x: P2.index_of(x), points),
+        (lambda x: S.apply(x), points),
+        (lambda x: S.cycle_of(x), points),
+        (lambda x: normalize_coherent(chain, x), points),
+        (lambda x: partition_from_return(S, x, {x}), points),
+    ]
+    for call, refused in cases:
+        for value in refused:
+            with pytest.raises(DomainError):
+                call(value)
 
 
 def test_make_compatible_always_valid_and_compatible():
