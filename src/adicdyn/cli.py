@@ -16,7 +16,7 @@ import sys
 from typing import NamedTuple
 
 from . import dynsys, factors, odometer, supernatural
-from .errors import DomainError, ParseError, parse_int, parse_ints
+from .errors import DomainError, ParseError, parse_int, parse_ints, quoted
 
 
 class Output(NamedTuple):
@@ -145,14 +145,14 @@ def _h_project(ns) -> Output:
     S = _system(ns)
     chain = dynsys.build_chain(S, parse_ints(ns.lengths, "bad length"))
     F = factors.build_factor_map(S, chain)
-    report = factors.factor_report(F)
     text = [
-        f"target: {','.join(map(str, report['target_levels']))}",
-        f"fibers: {len(report['fibers'])}",
-        f"maximal: {'true' if report['maximal'] else 'false'}",
-        f"sigma_top: {report['sigma_top']}",
+        f"target: {','.join(map(str, chain.lengths))}",
+        f"fibers: {chain.lengths[-1]}",  # the finest blocks
+        f"maximal: {'true' if factors.is_maximal_projection(F) else 'false'}",
+        f"sigma_top: {supernatural.format_supernatural(factors.sigma_of_system(S))}",
     ]
-    return Output(text, report)
+    # the report lists every point, and only --json prints it
+    return Output(text, factors.factor_report(F) if ns.json else None)
 
 
 def _h_odo(ns) -> Output:
@@ -169,7 +169,9 @@ def _h_odo(ns) -> Output:
         n = base.levels[-1] // cyl.step  # len(cyl) stops at sys.maxsize
         if n > dynsys.MAX_POINTS:
             limit = dynsys.MAX_POINTS
-            raise DomainError(f"a cylinder of {n} points is larger than the limit of {limit}")
+            raise DomainError(
+                f"a cylinder of {quoted(n)} points is larger than the limit of {limit}"
+            )
         members = list(cyl)
         return Output(
             [",".join(map(str, members))],
@@ -246,12 +248,23 @@ def _int_arg(text: str) -> int:
 _KINDS = {"": {}, "int": {"type": _int_arg}, "ints": {"type": _int_arg, "nargs": "+"}}
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose usage errors cut each word of more than 50
+    characters they echo (an unrecognized argument, an invalid choice) with
+    quoted().  A word's quotes and trailing dots are not counted, so a token
+    that quoted() already cut stays as it is."""
+
+    def error(self, message):
+        words = [(w, w.strip("'\".")) for w in message.split(" ")]
+        super().error(" ".join(w if len(t) <= 50 else quoted(t) for w, t in words))
+
+
 @functools.cache  # built once per process: parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", help="emit JSON")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adicdyn",
         description="supernatural numbers, periodic partitions, odometers, factor maps",
     )

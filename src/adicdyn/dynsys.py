@@ -150,7 +150,7 @@ def parse_cycles(text: str, size: int | None = None) -> FinSystem:
             if v < 0:
                 raise ParseError("point ids are nonnegative")
             if v in seen:
-                raise ParseError(f"point {v} appears twice")
+                raise ParseError(f"point {quoted(v)} appears twice")
             seen.add(v)
             pts.append(v)
             max_point = max(max_point, v)
@@ -165,7 +165,9 @@ def parse_cycles(text: str, size: int | None = None) -> FinSystem:
     if n < 1:
         raise ParseError("empty system")
     if n > MAX_POINTS:
-        raise ParseError(f"a system of {n} points is larger than the limit of {MAX_POINTS}")
+        raise ParseError(
+            f"a system of {quoted(n)} points is larger than the limit of {MAX_POINTS}"
+        )
     fwd = list(range(n))
     for pts in cycles:
         for a, b in zip(pts, pts[1:] + pts[:1]):
@@ -312,7 +314,8 @@ class PeriodicPartition:
     its labeling: offsets[i] is the index of the block holding
     system.cycles[i][0], and the point t steps further round that cycle is
     in block (offsets[i] + t) mod m.  .labels, .blocks and key() are derived
-    on demand; equality is equality of labelings.
+    on demand, the blocks by one pass over the labels (blocks_json); equality
+    is equality of labelings.
 
     PeriodicPartition(system, labels) checks the step rule c(f(x)) = c(x) + 1
     mod m along every cycle (_step_offsets), with m = max(labels) + 1.  Block
@@ -366,7 +369,7 @@ class PeriodicPartition:
     @cached_property
     def blocks(self) -> tuple:
         """The blocks W_0..W_{m-1} as frozensets."""
-        return tuple(map(frozenset, self.key()))
+        return tuple(map(frozenset, blocks_json(self)))
 
     def index_of(self, x: int) -> int:
         """The index of the block containing x: its cycle's offset plus the
@@ -378,10 +381,7 @@ class PeriodicPartition:
     def key(self):
         """The ordered block list with each block ascending: a sortable
         canonical snapshot."""
-        # a stable sort by label lists the blocks in turn, each ascending; each
-        # holds size / m points, as every cycle meets it len(cycle) / m times
-        order = sorted(range(self.system.size), key=self.labels.__getitem__)
-        return tuple(zip(*[iter(order)] * (self.system.size // self.length)))
+        return tuple(map(tuple, blocks_json(self)))
 
 
 def _trusted(system: FinSystem, m: int, offsets) -> PeriodicPartition:
@@ -393,8 +393,13 @@ def _trusted(system: FinSystem, m: int, offsets) -> PeriodicPartition:
 
 
 def blocks_json(P: PeriodicPartition) -> list:
-    """The serialized form: a list of sorted point lists, in block order."""
-    return [list(b) for b in P.key()]
+    """The serialized form: a list of sorted point lists, in block order, new
+    on every call.  One pass over the points deals each to the block its
+    label names."""
+    blocks = [[] for _ in range(P.length)]
+    for x, c in enumerate(P.labels):
+        blocks[c].append(x)
+    return blocks
 
 
 def trivial_partition(S: FinSystem) -> PeriodicPartition:
@@ -433,7 +438,7 @@ def all_partitions(S: FinSystem, m: int, bound: int = 12) -> list:
     """
     require_int(m, "length must be a positive integer", 1)
     if S.size > bound or m > bound:
-        raise DomainError(f"oracle bound {bound} exceeded")
+        raise DomainError(f"oracle bound {quoted(bound)} exceeded")
     cycles = S.cycles
     depth = next((i for i, c in enumerate(cycles) if len(c) % m), len(cycles))
     if m ** depth > ORACLE_LEAVES:
@@ -482,7 +487,7 @@ def _require_period(S: FinSystem, m) -> None:
     of the cycle lengths (see ess_periods)."""
     message = "no partition of length {} exists"
     if S.period_gcd % require_int(m, message, 1):
-        raise DomainError(message.format(m))
+        raise DomainError(message.format(quoted(m)))
 
 
 def _period_base(S: FinSystem, lengths) -> BaseSequence:
@@ -516,7 +521,7 @@ def coarsen(P: PeriodicPartition, d: int) -> PeriodicPartition:
     """Merge blocks with indices congruent mod d into a length-d partition."""
     message = f"{{}} does not divide the length {P.length}"
     if P.length % require_int(d, message, 1):
-        raise DomainError(message.format(d))
+        raise DomainError(message.format(quoted(d)))
     return _trusted(P.system, d, [o % d for o in P.offsets])
 
 

@@ -17,9 +17,11 @@ class DomainError(ValueError):
     """A well-formed input violates an operation's preconditions."""
 
 
-def quoted(token: str) -> str:
-    """repr(token) for an error message; past 50 characters, its start and its length."""
-    return repr(token) if len(token) <= 50 else f"{token[:50]!r}... ({len(token)} characters)"
+def quoted(value) -> str:
+    """repr(value) for an error message; past 50 characters of its text (a
+    str, or the repr of any other value), that text's start and its length."""
+    text = value if type(value) is str else repr(value)
+    return repr(value) if len(text) <= 50 else f"{text[:50]!r}... ({len(text)} characters)"
 
 
 def parse_int(token: str, what: str, shown: str | None = None) -> int:
@@ -38,7 +40,11 @@ def parse_ints(text: str, what: str) -> tuple:
 
 def require_int(value, message: str, low=float("-inf"), high=float("inf")) -> int:
     """value, if it is an int (a bool is not) with low <= value < high; else
-    a DomainError with message.format(value)."""
+    a DomainError with message.format(value), where a value of more than 50
+    characters shows as quoted() cuts it."""
     if type(value) is not int or not low <= value < high:
+        shown = quoted(value)
+        if shown != repr(value):
+            message, value = message.replace("{!r}", "{}"), shown
         raise DomainError(message.format(value))
     return value

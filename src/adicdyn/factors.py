@@ -71,12 +71,31 @@ class FactorMap:
 
     @cached_property
     def labels(self) -> tuple:
-        """labels[x] is the coherent index vector of x."""
-        return tuple(zip(*(P.labels for P in self.chain.partitions)))
+        """labels[x] is the coherent index vector of x, read off its finest label."""
+        vectors = _vectors(self.chain.lengths)
+        return tuple(map(vectors.__getitem__, self.chain.partitions[-1].labels))
 
     def label(self, x: int) -> AdicInt:
         """The image of x as a point of the target odometer."""
         return AdicInt(self.target, self.labels[x])
+
+
+def _vectors(lengths) -> list:
+    """vectors[c] = (c % n_1, ..., c % n_L), the coherent vector of the points
+    whose finest label is c, built column by column (the last is c itself)."""
+    n = lengths[-1]
+    return list(zip(*[[c % m for c in range(n)] for m in lengths[:-1]], range(n)))
+
+
+def _vector_order(lengths) -> list:
+    """range(n_L) in the order of the coherent vectors: each residue mod one
+    level is followed by its lifts mod the next, a mixed-radix digit reversal
+    built level by level with no sort."""
+    order, prev = [0], 1
+    for n in lengths:
+        order = [c for a in order for c in range(a, n, prev)]
+        prev = n
+    return order
 
 
 def build_factor_map(S: FinSystem, chain: PartitionChain) -> FactorMap:
@@ -204,13 +223,16 @@ def almost_periodic_points(S: FinSystem) -> frozenset:
 
 
 def factor_report(F: FactorMap) -> dict:
-    """The JSON-ready report with a stable key and element order."""
-    labels = F.labels
-    fibers = sorted(F.chain.partitions[-1].key(), key=lambda b: labels[b[0]])
+    """The JSON-ready report with a stable key and element order: the fibers,
+    the finest blocks, in the order of their label vectors."""
+    lengths = F.chain.lengths
+    finest = F.chain.partitions[-1]
+    vectors = _vectors(lengths)
+    blocks = dynsys.blocks_json(finest)
     return {
-        "target_levels": list(F.chain.lengths),
-        "labels": {str(x): list(labels[x]) for x in range(F.source.size)},
-        "fibers": [list(b) for b in fibers],
+        "target_levels": list(lengths),
+        "labels": {str(x): list(vectors[c]) for x, c in enumerate(finest.labels)},
+        "fibers": [blocks[c] for c in _vector_order(lengths)],
         "maximal": is_maximal_projection(F),
         "sigma_top": format_supernatural(sigma_of_system(F.source)),
     }

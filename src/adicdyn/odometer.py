@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .dynsys import MAX_POINTS, FinSystem, PeriodicPartition, canonical_partition
-from .errors import DomainError, ParseError, parse_ints, require_int
+from .errors import DomainError, ParseError, parse_ints, quoted, require_int
 from .supernatural import BaseSequence, Supernatural, format_base, phi0
 
 
@@ -36,7 +36,7 @@ class AdicInt:
             if res[k + 1] % self.base.levels[k] != res[k]:
                 raise DomainError(
                     f"incoherent residues at level {k + 1}: "
-                    f"{res[k + 1]} mod {self.base.levels[k]} != {res[k]}"
+                    f"{quoted(res[k + 1])} mod {quoted(self.base.levels[k])} != {quoted(res[k])}"
                 )
 
     def __str__(self) -> str:
@@ -121,7 +121,9 @@ def truncate(base: BaseSequence, k: int) -> FinSystem:
     """The depth-k truncation: the rotation i -> i+1 on Z_{n_k}."""
     n = _level(base, k)
     if n > MAX_POINTS:
-        raise DomainError(f"a truncation of {n} points is larger than the limit of {MAX_POINTS}")
+        raise DomainError(
+            f"a truncation of {quoted(n)} points is larger than the limit of {MAX_POINTS}"
+        )
     return FinSystem(tuple((i + 1) % n for i in range(n)))
 
 

@@ -27,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ParseError, parse_int, require_int
+from .errors import DomainError, ParseError, parse_int, quoted, require_int
 
 
 class _Infinity:
@@ -82,7 +82,9 @@ def _is_prime(n: int) -> bool:
     if n < 43 * 43:  # a composite below 43^2 has a prime factor <= 41
         return True
     if n >= PRIMALITY_LIMIT:
-        raise DomainError(f"cannot decide whether {n} is prime: at or above {PRIMALITY_LIMIT}")
+        raise DomainError(
+            f"cannot decide whether {quoted(n)} is prime: at or above {PRIMALITY_LIMIT}"
+        )
     d, s = n - 1, 0
     while not d & 1:
         d >>= 1
@@ -121,7 +123,7 @@ class Supernatural:
         for entry in self.exps:
             p, e = entry
             if not (_SMALL_PRIME[p] if type(p) is int and 0 <= p < _TRIAL_LIMIT else _is_prime(p)):
-                raise DomainError(f"{p!r} is not prime")
+                raise DomainError(f"{quoted(p)} is not prime")
             if not (e is INF or (type(e) is int and e >= 0)):
                 raise DomainError(f"bad exponent for {p}: {e!r}")
             if p in seen:
@@ -382,7 +384,7 @@ class BaseSequence:
             require_int(n, "bad level {!r}: levels are positive integers", 1)
         for a, b in zip(levels, levels[1:]):
             if b % a:
-                raise DomainError(f"{a} does not divide {b}")
+                raise DomainError(f"{quoted(a)} does not divide {quoted(b)}")
 
     @property
     def depth(self) -> int:
@@ -440,7 +442,7 @@ def parse_supernatural(text: str) -> Supernatural:
         if tail == "default=inf":
             default = INF
         elif tail != "default=0":
-            raise ParseError(f"bad default clause {tail!r}")
+            raise ParseError(f"bad default clause {quoted(tail)}")
     elif not s:
         raise ParseError("empty literal")
     exps = []

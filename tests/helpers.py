@@ -7,7 +7,9 @@ tests can cross-check against it.  The reference definitions below
 (saturation, refines on labelings, fiber_partition, the lcm fold of
 phi_of_set, validate_partition's clause check, ...) state a concept point by point, as the library's closed
 forms are checked against them; the enumeration references keep the
-prefix-by-prefix enumeration the offset-space one is checked against.
+prefix-by-prefix enumeration the offset-space one is checked against, and
+the view references (factor labels zipped from every level, key() and the
+fibers by sorting) the one-level, one-pass views.
 """
 
 import itertools
@@ -271,6 +273,27 @@ def fiber_partition(F):
     for x, lab in enumerate(F.labels):
         groups.setdefault(lab, set()).add(x)
     return frozenset(map(frozenset, groups.values()))
+
+
+def factor_labels_reference(F):
+    """FactorMap.labels as it was when every level's labeling was built and
+    the labelings were zipped into per-point vectors."""
+    return tuple(zip(*(P.labels for P in F.chain.partitions)))
+
+
+def key_reference(P):
+    """PeriodicPartition.key() as it was when all points were sorted by label
+    and the order cut into the m blocks of size/m points each."""
+    order = sorted(range(P.system.size), key=P.labels.__getitem__)
+    return tuple(zip(*[iter(order)] * (P.system.size // P.length)))
+
+
+def fibers_reference(F):
+    """factor_report's fibers as they were: the finest blocks sorted by the
+    zipped label vector of each block's first point."""
+    labels = factor_labels_reference(F)
+    fibers = sorted(key_reference(F.chain.partitions[-1]), key=lambda b: labels[b[0]])
+    return [list(b) for b in fibers]
 
 
 def chains_compatible(c1, c2):

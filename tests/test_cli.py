@@ -3,6 +3,7 @@ the shape of every command's parser, and the package's public names."""
 
 import argparse
 import json
+import math
 import os
 import resource
 import subprocess
@@ -12,6 +13,7 @@ import types
 import pytest
 
 import adicdyn
+from adicdyn import cli, factors
 from adicdyn.cli import _build_parser, run
 from adicdyn.dynsys import MAX_ENUMERATION, MAX_POINTS, ORACLE_LEAVES
 
@@ -133,6 +135,60 @@ def test_long_tokens_are_cut_in_error_messages(capsys):
         assert len(err.encode()) < 300 and "'... (5000 characters)" in err, argv
 
 
+def _undecidable_prime() -> str:
+    """A number past the primality limit with no prime factor up to 41."""
+    n = 10**80 + 1
+    while math.gcd(n, math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))) > 1:
+        n += 2
+    return str(n)
+
+
+def test_usage_errors_and_echoed_inputs_are_cut(capsys):
+    """Every long token a message echoes is cut by quoted(): argparse's
+    unrecognized arguments, invalid choices and explicit arguments, and
+    the integers the library's messages print whole."""
+    x, ones, twos = "x" * 5000, "1" * 4000, "2" * 4000
+    cut_x = f"'{x[:50]}'... (5000 characters)"
+    cut_1 = f"'{ones[:50]}'... (4000 characters)"
+    minus_1 = f"'-{ones[:49]}'... (4001 characters)"
+    prime = _undecidable_prime()
+    cases = [
+        (("ess", "(0 1)", x), 2, f"unrecognized arguments: {cut_x}"),
+        ((x,), 2, f"argument cmd: invalid choice: {cut_x} (choose from"),
+        (("sn", x), 2, f"argument op: invalid choice: {cut_x} (choose from"),
+        (("ess", "(0 1)", "--json=" + x), 2, f"ignored explicit argument {cut_x}"),
+        (("sn", "gcd", f"2;{x}", "2"), 2, f"bad default clause {cut_x}"),
+        (("ess", f"({ones} 1 {ones})"), 2, f"point {cut_1} appears twice"),
+        (("chain", "build", "(0 1)", f"-{ones}"), 1, f"bad level {minus_1}: levels are"),
+        (("chain", "build", "(0 1)", f"2,{ones}"), 1, f"2 does not divide {cut_1}"),
+        (("sn", "gcd", ones, "2"), 2, f"{cut_1} is not prime"),
+        (("sn", "gcd", prime, "2"), 2, f"cannot decide whether '{prime[:50]}'... (81 characters)"),
+        (("ess", "(0 1)", "--size", ones), 2, f"a system of {cut_1} points"),
+        (("oracle", "(0 1)", "2", "--bound", f"-{ones}"), 1, f"oracle bound {minus_1} exceeded"),
+        (("odo", "truncate", ones, "1"), 1, f"a truncation of {cut_1} points"),
+        (("odo", "cylinder", f"2,{twos}", "1", "0"), 1, f"a cylinder of {cut_1} points"),
+        (("odo", "neg", f"2,{twos}", f"[0,{ones}]"), 2, f"level 1: {cut_1} mod 2 != 0"),
+    ]
+    for argv, want_code, message in cases:
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (want_code, ""), argv
+        assert message in err and len(err.encode()) < 300, argv
+
+
+def test_usage_errors_echo_short_tokens_as_argparse_does(capsys, monkeypatch):
+    """A usage error that echoes no word of more than 50 characters is byte
+    for byte what argparse's own error() prints."""
+    y = "y" * 50
+    calls = (
+        ("ess", "(0 1)", y), ("ess", "(0 1)", "a", "b c"), (y,), ("sn", y),
+        ("ess", "(0 1)", f"--json={y}"), ("odo", "truncate", "2", y), ("nosuch",),
+    )
+    got = [invoke(capsys, *argv) for argv in calls]
+    monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+    assert got == [invoke(capsys, *argv) for argv in calls]
+    assert all(code == 2 and y in err for (code, _, err), argv in zip(got, calls) if y in argv)
+
+
 def test_one_parser_serves_every_call(capsys, monkeypatch):
     """run() builds its parser once per process.  A usage error, a command
     and two --help requests in turn, in this process, each print what a
@@ -210,6 +266,23 @@ def test_project_report(capsys):
     assert list(data) == ["target_levels", "labels", "fibers", "maximal", "sigma_top"]
     assert data["fibers"] == [[0, 4], [2, 6], [1, 5], [3, 7]]
     assert data["sigma_top"] == "2^2"
+
+
+def test_project_text_builds_no_report(capsys, monkeypatch):
+    """Text output reads its four lines off the chain; only --json builds
+    the report, which lists every point."""
+
+    def refuse(F):
+        raise AssertionError("factor_report called for text output")
+
+    monkeypatch.setattr(factors, "factor_report", refuse)
+    for argv, text in [
+        (("(0 1 2 3)(4 5 6 7)", "2,4"), "target: 2,4\nfibers: 4\nmaximal: true\nsigma_top: 2^2\n"),
+        (("(0 1 2 3 4 5)", "1,3,3"), "target: 1,3,3\nfibers: 3\nmaximal: false\nsigma_top: 2*3\n"),
+    ]:
+        assert invoke(capsys, "project", *argv) == (0, text, "")
+        with pytest.raises(AssertionError, match="text output"):
+            run(["project", *argv, "--json"])
 
 
 def test_odo_subcommands(capsys):

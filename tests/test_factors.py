@@ -46,7 +46,8 @@ from adicdyn import (
     trivial_partition,
     truncate,
 )
-from adicdyn import dynsys
+from adicdyn import dynsys, factors
+from adicdyn.dynsys import blocks_json
 
 import helpers
 from helpers import chains_compatible, fiber_partition, seq_dominates
@@ -561,7 +562,7 @@ def test_factor_map_is_its_chain():
             maps.append(build_factor_map(S, shifted))
         for F in maps:
             labels = F.labels
-            assert labels == tuple(zip(*(Q.labels for Q in F.chain.partitions)))
+            assert labels == helpers.factor_labels_reference(F)
             assert all(v == tuple(v[-1] % n for n in F.chain.lengths) for v in labels)
             for Q in F.chain.partitions:
                 x = rng.randrange(S.size)
@@ -643,3 +644,68 @@ def test_factor_report_shape_and_stability():
     assert rep["sigma_top"] == "2^2"
     again = factor_report(build_factor_map(S, chain_of(S, [2, 4])))
     assert json.dumps(rep) == json.dumps(again)
+
+
+def _assert_views_match_references(F):
+    """F's labels, report and the blocks of every level equal the references
+    that zip every level and sort; the report's values are fresh lists."""
+    assert F.labels == helpers.factor_labels_reference(F)
+    rep, again = factor_report(F), factor_report(F)
+    assert rep["labels"] == {str(x): list(v) for x, v in enumerate(F.labels)}
+    assert rep["fibers"] == helpers.fibers_reference(F)
+    values = [*rep["labels"].values(), *rep["fibers"], *again["labels"].values(), *again["fibers"]]
+    assert all(type(v) is list for v in values)
+    assert len({id(v) for v in values}) == len(values)  # no list is shared
+    for P in F.chain.partitions:
+        key = helpers.key_reference(P)
+        assert P.key() == key
+        assert blocks_json(P) == [list(b) for b in key]
+        assert P.blocks == tuple(map(frozenset, key))
+
+
+def test_finest_level_views_match_the_references():
+    rng = helpers.seeded(1507)
+    for _ in range(120):
+        S = helpers.random_periodic_system(24, rng)
+        full = rng.choice(helpers.saturated_chains(helpers.cycle_gcd(map(len, S.cycles))))
+        # one level, a random sub-chain, and a whole saturated chain
+        some = sorted(rng.sample(full, rng.randint(1, len(full))))
+        for lengths in ([rng.choice(full)], some, full):
+            chain = build_chain(S, lengths)
+            shifted = PartitionChain([cyclic_shift(Q, rng.randrange(Q.length)) for Q in chain.partitions])
+            _assert_views_match_references(build_factor_map(S, chain))
+            _assert_views_match_references(build_factor_map(S, shifted))
+    # n_L = n: one cycle, each point its own fiber
+    for n in (1, 2, 12, 30, 64):
+        S = helpers.random_conjugate(helpers.system_of_type((n,)), rng)
+        for lengths in helpers.saturated_chains(n)[:4]:
+            _assert_views_match_references(build_factor_map(S, build_chain(S, lengths)))
+
+
+def test_enumerated_and_maximal_maps_match_the_view_references():
+    rng = helpers.seeded(1508)
+    for parts in [(1,), (4,), (2, 2), (4, 2), (6, 6), (4, 4, 2), (12,), (6, 3), (8, 4, 4)]:
+        S = helpers.random_conjugate(helpers.system_of_type(parts), rng)
+        for lengths in helpers.saturated_chains(helpers.cycle_gcd(parts)):
+            for cls in enumerate_factor_maps(S, lengths):
+                for F in cls:
+                    _assert_views_match_references(F)
+        _assert_views_match_references(max_odometer_factor(S)[1])
+
+
+def test_fiber_order_is_the_vector_order_on_every_chain_over_720():
+    """The digit-reversal order of range(n_L) is range(n_L) sorted by the
+    coherent vectors (c mod n_1, ..., c), on every strictly ascending
+    divisibility chain of divisors of 720."""
+    divisors = helpers.divisors(720)
+    chains = []
+    stack = [(d,) for d in divisors]
+    while stack:
+        ch = stack.pop()
+        chains.append(ch)
+        stack += [ch + (d,) for d in divisors if d > ch[-1] and d % ch[-1] == 0]
+    assert len(chains) == 7551
+    for ch in chains:
+        n = ch[-1]
+        vectors = list(zip(*[[c % m for c in range(n)] for m in ch]))
+        assert factors._vector_order(ch) == sorted(range(n), key=vectors.__getitem__), ch
