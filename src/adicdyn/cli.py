@@ -248,15 +248,13 @@ def _int_arg(text: str) -> int:
 _KINDS = {"": {}, "int": {"type": _int_arg}, "ints": {"type": _int_arg, "nargs": "+"}}
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, whose usage errors cut each word of more than 50
-    characters they echo (an unrecognized argument, an invalid choice) with
-    quoted().  A word's quotes and trailing dots are not counted, so a token
-    that quoted() already cut stays as it is."""
+class _UsageError(Exception):
+    """(parser, message): a usage error, raised to run(), which knows argv."""
 
+
+class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        words = [(w, w.strip("'\".")) for w in message.split(" ")]
-        super().error(" ".join(w if len(t) <= 50 else quoted(t) for w, t in words))
+        raise _UsageError(self, message)
 
 
 @functools.cache  # built once per process: parse_args leaves the parser as it was
@@ -291,10 +289,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
+        ns = _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        # argparse's two lines, where each echo of more than 50 characters of
+        # an argv token, or of the argument after its option ("=", or the
+        # flags of "-h..."), plain or as its repr, is cut by quoted()
+        parser, message = exc.args
+        echoes = {e for tok in argv for e in (tok, tok.partition("=")[2], tok.lstrip("-h"))}
+        for e in sorted((e for e in echoes if len(e) > 50), key=len, reverse=True):
+            message = message.replace(repr(e), quoted(e)).replace(e, quoted(e))
+        parser.print_usage(sys.stderr)
+        print(f"{parser.prog}: error: {message}", file=sys.stderr)
+        return 2
+    except SystemExit as exc:  # argparse exits 0 on --help
         return int(exc.code or 0)
     try:
         out = ns.handler(ns)

@@ -5,15 +5,16 @@ nonempty, pairwise disjoint sets covering all points with f(W_{i-1}) = W_i
 cyclically.  Equivalently: a labeling c with c(f(x)) = c(x) + 1 mod m whose
 classes are all nonempty.  The labels step by one along each cycle, so a
 PeriodicPartition holds m and the label of each cycle's first point: these
-offsets are the closed form of the labeling, not a second representation.
-Each outside input costs one pass: a forward map is checked by the walk
-that finds its cycles, at construction, and a block list by reading it as a
-labeling and checking the step rule along each cycle (validate_partition
-names the failing clauses only when that check fails).  Every construction
-below is arithmetic on the offsets, O(cycles) rather than O(points), and so
-is enumeration: candidates are offset tuples, listed and ordered by
-_compatible_offsets, and only the answers are built as partitions, at most
-MAX_ENUMERATION of them, counted in closed form before anything is built.
+offsets, the closed form of the labeling, are what it is built from and
+checks, in O(cycles).  Each outside input costs one pass: a forward map is
+checked by the walk that finds its cycles, at construction, and a block
+list by reading it as a labeling and checking the step rule along each
+cycle (validate_partition names the failing clauses only when that check
+fails).  Every construction below is arithmetic on the offsets, O(cycles)
+rather than O(points), and so is enumeration: candidates are offset tuples,
+listed and ordered by _compatible_offsets, and only the answers are built
+as partitions, at most MAX_ENUMERATION of them, counted in closed form
+before anything is built.
 
 The brute-force oracle all_partitions only relies on the defining clauses;
 the faster formulas (ess_periods, the compatibility criterion, the
@@ -308,7 +309,7 @@ def _clause_report(system: FinSystem, blocks: list) -> PartitionReport:
     )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class PeriodicPartition:
     """An ordered periodic partition W_0..W_{m-1}, held as the closed form of
     its labeling: offsets[i] is the index of the block holding
@@ -317,36 +318,25 @@ class PeriodicPartition:
     on demand, the blocks by one pass over the labels (blocks_json); equality
     is equality of labelings.
 
-    PeriodicPartition(system, labels) checks the step rule c(f(x)) = c(x) + 1
-    mod m along every cycle (_step_offsets), with m = max(labels) + 1.  Block
-    lists from outside go through from_blocks.
+    PeriodicPartition(system, length, offsets) checks the fields it stores,
+    in O(cycles): the length is an int m >= 1 that divides every cycle
+    length, and each cycle has one int offset in range(m).  Block lists from
+    outside go through from_blocks.
     """
 
     system: FinSystem
     length: int
     offsets: tuple
 
-    def __init__(self, system: FinSystem, labels):
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "labels", labels)
-        self.__post_init__()
-
     def __post_init__(self):
-        labels = tuple(self.labels)
-        object.__setattr__(self, "labels", labels)
-        n = self.system.size
-        if len(labels) != n:
-            raise DomainError(f"{len(labels)} labels for {n} points")
-        if set(map(type, labels)) != {int} or min(labels) < 0:
-            raise DomainError("labels are nonnegative integers")
-        m = max(labels) + 1
-        if m > n:  # every cycle length is a multiple of m
-            raise DomainError(f"{m} blocks on {n} points")
-        offsets = _step_offsets(self.system, labels, m)
-        if offsets is None:
-            raise DomainError(f"labels do not step by one mod {m} along f")
-        object.__setattr__(self, "length", m)
-        object.__setattr__(self, "offsets", tuple(offsets))
+        offsets = tuple(self.offsets)
+        object.__setattr__(self, "offsets", offsets)
+        _require_period(self.system, self.length)
+        m, k = self.length, len(self.system.cycles)
+        if len(offsets) != k:
+            raise DomainError(f"{len(offsets)} offsets for {k} cycles")
+        for o in offsets:
+            require_int(o, f"offset {{!r}} is not in range({m})", 0, m)
 
     @classmethod
     def from_blocks(cls, system: FinSystem, blocks) -> PeriodicPartition:
@@ -386,7 +376,7 @@ class PeriodicPartition:
 
 def _trusted(system: FinSystem, m: int, offsets) -> PeriodicPartition:
     """The length-m partition with offsets right by construction (each below
-    m, every cycle length a multiple of m); no per-point check."""
+    m, every cycle length a multiple of m); no check."""
     P = object.__new__(PeriodicPartition)
     P.__dict__.update(system=system, length=m, offsets=tuple(offsets))
     return P
@@ -425,16 +415,17 @@ def all_partitions(S: FinSystem, m: int, bound: int = 12) -> list:
 
     This is the oracle the closed-form routes are tested against, so it uses
     nothing but the defining increment rule: labels are propagated point by
-    point along each cycle and the wrap-around is checked directly.  Every
-    completed candidate is admitted through PeriodicPartition.from_blocks
-    alone, which checks it once with validate_partition.
+    point along each cycle, each point dealt to the block its label names,
+    so a labeling becomes its m blocks in one pass.  Every candidate is
+    admitted through PeriodicPartition.from_blocks alone, which checks it
+    once with validate_partition.
 
-    The search is one loop over the start labels of the cycles, m each,
-    not a recursion, so it takes any number of cycles.  The wrap-around of
-    a cycle whose length m does not divide fails for every start label, so
-    the first such cycle is labeled first and rejects every candidate at
-    once; a search with more than ORACLE_LEAVES leaves (m to the number of
-    cycles before that one) is refused before it starts.
+    A search with more than ORACLE_LEAVES leaves (m to the number of cycles
+    before the first whose length m does not divide) is refused before it
+    starts.  That cycle wraps round for no start label, so the answer is
+    then [].  Otherwise every cycle wraps round through every block, and the
+    search is one loop over the cycles' start labels, m each, so it takes
+    any number of cycles.
     """
     require_int(m, "length must be a positive integer", 1)
     if S.size > bound or m > bound:
@@ -443,27 +434,16 @@ def all_partitions(S: FinSystem, m: int, bound: int = 12) -> list:
     depth = next((i for i, c in enumerate(cycles) if len(c) % m), len(cycles))
     if m ** depth > ORACLE_LEAVES:
         raise DomainError(f"the oracle would try {m}^{depth} labelings, more than {ORACLE_LEAVES}")
-    labels = [-1] * S.size
+    if depth < len(cycles):
+        return []
     out = []
-    searched = cycles[depth : depth + 1] + cycles[:depth]
-    for starts in itertools.product(range(m), repeat=len(searched)):
-        for cyc, c in zip(searched, starts):
+    for starts in itertools.product(range(m), repeat=len(cycles)):
+        blocks = [[] for _ in range(m)]
+        for cyc, c in zip(cycles, starts):
             for x in cyc:
-                labels[x] = c
+                blocks[c].append(x)
                 c = (c + 1) % m
-            # wrap-around: f of the last point is the first again
-            if labels[cyc[0]] != c:
-                break
-        else:
-            counts = [0] * m
-            for c in labels:
-                counts[c] += 1
-            if all(counts):
-                blocks = tuple(
-                    frozenset(x for x in range(S.size) if labels[x] == j)
-                    for j in range(m)
-                )
-                out.append(PeriodicPartition.from_blocks(S, blocks))
+        out.append(PeriodicPartition.from_blocks(S, blocks))
     out.sort(key=PeriodicPartition.key)
     return out
 

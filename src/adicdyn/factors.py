@@ -57,13 +57,26 @@ def normalize_coherent(chain: PartitionChain, x: int) -> PartitionChain:
     return dynsys._trusted_chain(cyclic_shift(P, s) for P, s in zip(chain.partitions, shifts))
 
 
+def _is_coherent(chain: PartitionChain) -> bool:
+    """Whether the zero blocks share a point: every consecutive label offset is 0."""
+    parts = chain.partitions
+    return not any(constant_label_offset(A, B) for A, B in zip(parts, parts[1:]))
+
+
 @dataclass(frozen=True)
 class FactorMap:
     """The map a coherent chain defines on the source: x goes to the vector
-    of the blocks holding it, one per level."""
+    of the blocks holding it, one per level.  A chain on another system, or
+    one that is not coherent, is refused (build_factor_map normalizes it)."""
 
     source: FinSystem
     chain: PartitionChain
+
+    def __post_init__(self):
+        if self.chain.system != self.source:
+            raise DomainError("chain belongs to a different system")
+        if not _is_coherent(self.chain):
+            raise DomainError("the chain is not coherent: its zero blocks share no point")
 
     @cached_property
     def target(self) -> BaseSequence:
@@ -104,12 +117,7 @@ def build_factor_map(S: FinSystem, chain: PartitionChain) -> FactorMap:
     A chain that is already coherent at some point is used as-is; otherwise
     it is normalized at point 0.
     """
-    if chain.system != S:
-        raise DomainError("chain belongs to a different system")
-    # the zero blocks share a point exactly when each level's label is the
-    # next one's mod its length: every consecutive label offset is 0
-    parts = chain.partitions
-    if any(constant_label_offset(A, B) for A, B in zip(parts, parts[1:])):
+    if not _is_coherent(chain):
         chain = normalize_coherent(chain, 0)
     return FactorMap(S, chain)
 
@@ -205,7 +213,8 @@ def enumerate_factor_maps(S: FinSystem, lengths) -> list:
         if any((b - a) % m for a, b, m in zip(firsts, firsts[1:], levels)):
             ch = [tuple([(o - r) % m for o in offs]) for offs, r, m in zip(ch, firsts, levels)]
         parts = [one.get(k) or one.setdefault(k, dynsys._trusted(S, *k)) for k in zip(levels, ch)]
-        F = FactorMap(S, dynsys._trusted_chain(parts))
+        F = object.__new__(FactorMap)  # coherent on S by construction: no check
+        F.__dict__.update(source=S, chain=dynsys._trusted_chain(parts))
         classes.setdefault(tuple([(o - ch[-1][0]) % n for o in ch[-1]]), []).append(F)
     return list(classes.values())
 

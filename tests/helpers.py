@@ -329,13 +329,48 @@ def seq_dominates(a, b):
 
 def random_partition(S, m, rng):
     """A length-m partition with a random label for each cycle's first
-    point, built point by point through the checked constructor."""
-    labels = [0] * S.size
-    for cyc in S.cycles:
-        o = rng.randrange(m)
-        for t, x in enumerate(cyc):
-            labels[x] = (o + t) % m
-    return PeriodicPartition(S, labels)
+    point, built through the checked constructor."""
+    return PeriodicPartition(S, m, [rng.randrange(m) for _ in S.cycles])
+
+
+def rebuilt_from_labels(P):
+    """P built again through the checked constructor, from the offsets its
+    labels, read point by point, step by (dynsys._step_offsets)."""
+    offsets = dynsys._step_offsets(P.system, P.labels, P.length)
+    assert offsets is not None, "the labels do not step by one along f"
+    return PeriodicPartition(P.system, P.length, offsets)
+
+
+def all_partitions_reference(S, m):
+    """all_partitions as it was before it answered [] up front and dealt
+    each labeling in one pass (its bound and leaf refusals left out):
+    labels propagated along each cycle, the first cycle m does not divide
+    labeled first, the wrap-around checked directly, empty blocks skipped,
+    and each block gathered by a scan of every point."""
+    cycles = S.cycles
+    depth = next((i for i, c in enumerate(cycles) if len(c) % m), len(cycles))
+    labels = [-1] * S.size
+    out = []
+    searched = cycles[depth : depth + 1] + cycles[:depth]
+    for starts in itertools.product(range(m), repeat=len(searched)):
+        for cyc, c in zip(searched, starts):
+            for x in cyc:
+                labels[x] = c
+                c = (c + 1) % m
+            if labels[cyc[0]] != c:
+                break
+        else:
+            counts = [0] * m
+            for c in labels:
+                counts[c] += 1
+            if all(counts):
+                blocks = tuple(
+                    frozenset(x for x in range(S.size) if labels[x] == j)
+                    for j in range(m)
+                )
+                out.append(PeriodicPartition.from_blocks(S, blocks))
+    out.sort(key=PeriodicPartition.key)
+    return out
 
 
 def pairwise_classes(maps):

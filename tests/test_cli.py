@@ -147,8 +147,9 @@ def test_usage_errors_and_echoed_inputs_are_cut(capsys):
     """Every long token a message echoes is cut by quoted(): argparse's
     unrecognized arguments, invalid choices and explicit arguments, and
     the integers the library's messages print whole."""
-    x, ones, twos = "x" * 5000, "1" * 4000, "2" * 4000
+    x, ones, twos, spaced = "x" * 5000, "1" * 4000, "2" * 4000, "x " * 2500
     cut_x = f"'{x[:50]}'... (5000 characters)"
+    cut_spaced = f"'{spaced[:50]}'... (5000 characters)"
     cut_1 = f"'{ones[:50]}'... (4000 characters)"
     minus_1 = f"'-{ones[:49]}'... (4001 characters)"
     prime = _undecidable_prime()
@@ -156,6 +157,8 @@ def test_usage_errors_and_echoed_inputs_are_cut(capsys):
         (("ess", "(0 1)", x), 2, f"unrecognized arguments: {cut_x}"),
         ((x,), 2, f"argument cmd: invalid choice: {cut_x} (choose from"),
         (("sn", x), 2, f"argument op: invalid choice: {cut_x} (choose from"),
+        (("ess", "(0 1)", spaced), 2, f"unrecognized arguments: {cut_spaced}\n"),
+        ((spaced,), 2, f"argument cmd: invalid choice: {cut_spaced} (choose from"),
         (("ess", "(0 1)", "--json=" + x), 2, f"ignored explicit argument {cut_x}"),
         (("sn", "gcd", f"2;{x}", "2"), 2, f"bad default clause {cut_x}"),
         (("ess", f"({ones} 1 {ones})"), 2, f"point {cut_1} appears twice"),
@@ -405,6 +408,36 @@ def test_oracle_search_is_bounded_before_it_starts():
     )
     assert proc.returncode == 1, proc.stderr
     assert f"2^20 labelings, more than {ORACLE_LEAVES}" in proc.stderr
+
+
+def test_oracle_answers_at_once_when_a_cycle_cannot_wrap_round():
+    # (0 1) at m = 10^8 once tried each of the m start labels of the cycle,
+    # about 40 s, to print (none)
+    proc = subprocess.run(
+        [sys.executable, "-m", "adicdyn.cli", "oracle", "(0 1)", "100000000",
+         "--bound", "100000000"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "(none)\n"
+
+
+def test_oracle_deals_each_labeling_in_one_pass():
+    # one 1,000-cycle at m = 1,000 once gathered each block by a scan of
+    # every point, 10^9 steps in all, about 25 s
+    cycle = "(" + " ".join(map(str, range(1000))) + ")"
+    proc = subprocess.run(
+        [sys.executable, "-m", "adicdyn.cli", "oracle", cycle, "1000", "--bound", "1000"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1000
+    assert lines[0] == json.dumps([[x] for x in range(1000)], separators=(",", ":"))
 
 
 def test_compat_enumerate_is_bounded_before_it_allocates():

@@ -175,8 +175,9 @@ def test_validate_cycle_failure():
 
 def test_labeling_check_matches_clause_check():
     # every labeling in range(m)^n of every cycle type up to 5 points: the
-    # constructor accepts exactly those whose blocks validate_partition
-    # accepts, and builds the partition from_blocks builds from them
+    # step rule (_step_offsets) accepts exactly those whose blocks
+    # validate_partition accepts, and the checked constructor builds from
+    # its offsets the partition from_blocks builds from them
     for parts in helpers.all_cycle_types(5):
         S = helpers.system_of_type(parts)
         for m in range(1, 5):
@@ -186,25 +187,34 @@ def test_labeling_check_matches_clause_check():
                     for j in range(max(labels) + 1)
                 ]
                 ok = validate_partition(S, blocks).ok
-                try:
-                    Q = PeriodicPartition(S, labels)
-                except DomainError:
-                    assert not ok, (parts, labels)
-                else:
-                    assert ok, (parts, labels)
+                offsets = dynsys._step_offsets(S, labels, len(blocks))
+                assert (offsets is not None) == ok, (parts, labels)
+                if ok:
+                    Q = PeriodicPartition(S, len(blocks), offsets)
                     assert Q == P(S, *blocks) and blocks_json(Q) == blocks
 
 
 @pytest.mark.parametrize(
-    "labels",
-    [(0, 1, 0), (0, 1, 0, 1, 0), (1, 0, 1, -2), (0, True, 0, 1), (0, 1.0, 0, 1),
-     (0, "1", 0, 1), (0, None, 0, 1), (0, 5, 0, 1), (0, 10**30, 0, 1)],
+    "length, offsets",
+    [(2, (0,)), (2, (0, 1, 0)), (2, (1, -1)), (2, (1, True)), (2, (1, 1.0)), (2, (1, "1")),
+     (2, (1, None)), (2, (1, 2)), (2, (1, 10**30)), (0, (0, 0)), (True, (0, 0)),
+     (2.0, (0, 0)), (4, (0, 0)), (3, (0, 0))],
+    ids=["too-few", "too-many", "negative", "bool", "float", "str", "none", "too-large",
+         "huge", "length-0", "length-bool", "length-float", "length-4", "length-3"],
 )
-def test_labeling_constructor_rejects_bad_labels(labels):
-    S = helpers.system_of_type((4,))
-    assert PeriodicPartition(S, (1, 0, 1, 0)).length == 2
+def test_offsets_constructor_rejects_bad_fields(length, offsets):
+    # on (0 1 2 3)(4 5): one int offset in range(length) per cycle, and an
+    # int length >= 1 that divides every cycle length
+    S = helpers.system_of_type((4, 2))
+    assert PeriodicPartition(S, 2, (1, 0)) == P(S, [1, 3, 4], [0, 2, 5])
     with pytest.raises(DomainError):
-        PeriodicPartition(S, labels)
+        PeriodicPartition(S, length, offsets)
+
+
+def test_offsets_constructor_cuts_a_long_offset():
+    S = helpers.system_of_type((4, 2))
+    with pytest.raises(DomainError, match=r"offset '10{49}'\.\.\. \(61 characters\) is not in"):
+        PeriodicPartition(S, 2, (0, 10**60))
 
 
 def test_partition_constructor_rejects_invalid():
@@ -259,9 +269,19 @@ def test_oracle_takes_any_number_of_cycles():
     # interpreter's stack on about 1,000 cycles
     (P,) = all_partitions(FinSystem(tuple(range(1200))), 1, bound=1200)
     assert P.length == 1 and len(P.offsets) == 1200
-    # a cycle m does not divide is labeled first: its wrap-around rejects
-    # each of the 2^17 candidates before the sixteen 2-cycles are labeled
+    # a cycle m does not divide wraps round for no start label, so the
+    # answer is [] before the 2^16 labelings of the 2-cycles are tried
     assert all_partitions(helpers.system_of_type((2,) * 16 + (3,)), 2, bound=40) == []
+
+
+def test_oracle_matches_its_former_search():
+    # answering [] up front and dealing each labeling in one pass list the
+    # partitions the wrap-around search listed, in the same order
+    for parts in helpers.all_cycle_types(6):
+        S = helpers.system_of_type(parts)
+        for m in range(1, 9):
+            want = [Q.key() for Q in helpers.all_partitions_reference(S, m)]
+            assert [Q.key() for Q in all_partitions(S, m)] == want, (parts, m)
 
 
 def test_oracle_results_are_valid_and_distinct():
@@ -353,7 +373,7 @@ def test_validate_partition_matches_the_clause_check():
                     assert _report_fields(got) == _report_fields(want), name
                     if got.ok:
                         assert blocks_json(got.partition) == [sorted(set(b)) for b in blocks]
-                        assert got.partition == PeriodicPartition(S, got.partition.labels)
+                        assert got.partition == helpers.rebuilt_from_labels(got.partition)
                     else:
                         assert got.partition is None
                 seen.add((name, want.ok))
@@ -997,7 +1017,8 @@ def cross_check_systems():
 
 def test_offset_constructions_pass_the_labeling_check(monkeypatch):
     # every partition a construction returns is the one the checked
-    # constructor builds from its labels; none runs the check itself
+    # constructor builds from the offsets its labels step by; none runs the
+    # check itself
     rng = helpers.seeded(607)
     built = []
     calls = []
@@ -1027,7 +1048,7 @@ def test_offset_constructions_pass_the_labeling_check(monkeypatch):
     assert calls == []
     monkeypatch.setattr(PeriodicPartition, "__post_init__", check)
     for P in built:
-        assert PeriodicPartition(P.system, P.labels) == P
+        assert helpers.rebuilt_from_labels(P) == P
 
 
 def test_lcm_labels_match_the_pointwise_crt():
@@ -1081,7 +1102,7 @@ def test_enumerate_compatible_order_is_the_block_list_order():
 
 def test_outside_levels_are_checked_once(monkeypatch):
     # from_blocks and validate_chain admit a level through validate_partition
-    # alone, without the per-point check of PeriodicPartition(system, labels)
+    # alone, without the checked constructor's own check of the fields
     rng = helpers.seeded(611)
     calls = []
     check = PeriodicPartition.__post_init__

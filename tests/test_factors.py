@@ -116,6 +116,27 @@ def test_incoherent_chain_is_normalized_at_smallest_point():
     assert F.labels[0] == (0, 0)
 
 
+def test_factor_map_refuses_a_chain_it_cannot_read():
+    # FactorMap(source, chain) once took any chain: an incoherent one gave
+    # point 0 the label (1, 3) though it lies in block 0 of the length-2
+    # level, and one on another system gave 8 labels for a 2-point source
+    S = dynsys.parse_cycles("(0 1 2 3)(4 5 6 7)")
+    P2 = canonical_partition(S, 2)
+    chain = PartitionChain((P2, cyclic_shift(make_compatible(P2, 4), 1)))
+    assert dynsys.validate_chain(S, [blocks_json(P) for P in chain.partitions]).ok
+    with pytest.raises(DomainError, match="not coherent"):
+        FactorMap(S, chain)
+    two = dynsys.parse_cycles("(0 1)")
+    for make in (FactorMap, build_factor_map):
+        with pytest.raises(DomainError, match="chain belongs to a different system"):
+            make(two, chain)
+    F = build_factor_map(S, chain)
+    assert F.labels[0] == (0, 0) and FactorMap(S, F.chain) == F
+    # the maps the enumeration builds unchecked pass the check
+    for cls in enumerate_factor_maps(S, [2, 4]):
+        assert all(FactorMap(S, G.chain) == G for G in cls)
+
+
 def test_label_is_an_adic_int():
     S = helpers.system_of_type((12,))
     F = build_factor_map(S, chain_of(S, [2, 4]))
@@ -347,7 +368,7 @@ def test_max_factor_returns_the_extracted_chain():
 
 def test_max_factor_builds_each_length_once(monkeypatch):
     # the default depth repeats the top level five times; each distinct
-    # length is built once, and no level goes through the per-point check
+    # length is built once, and no level goes through the checked constructor
     calls = Counter()
     make, check = dynsys.make_compatible, PeriodicPartition.__post_init__
 
