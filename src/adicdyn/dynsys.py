@@ -13,8 +13,8 @@ cycle (validate_partition names the failing clauses only when that check
 fails).  Every construction below is arithmetic on the offsets, O(cycles)
 rather than O(points), and so is enumeration: candidates are offset tuples,
 listed and ordered by _compatible_offsets, and only the answers are built
-as partitions, at most MAX_ENUMERATION of them, counted in closed form
-before anything is built.
+as partitions, at most MAX_ENUMERATION of them and MAX_POINTS points in
+all, counted in closed form before anything is built.
 
 The brute-force oracle all_partitions only relies on the defining clauses;
 the faster formulas (ess_periods, the compatibility criterion, the
@@ -195,12 +195,7 @@ class PartitionReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.clause_ii
-            and self.clause_iii
-            and self.clause_iv
-            and self.blocks_nonempty
-        )
+        return not self.problems  # each false clause names a problem
 
 
 _CLOPEN = "vacuous on a finite discrete space"
@@ -398,16 +393,23 @@ def trivial_partition(S: FinSystem) -> PeriodicPartition:
 
 def canonical_partition(S: FinSystem, m: int) -> PeriodicPartition:
     """The reference length-m partition: each cycle's smallest point in block 0."""
-    require_int(m, "length must be a positive integer", 1)
-    for cyc in S.cycles:
-        if len(cyc) % m:
-            raise DomainError(f"no partition of length {m} exists (cycle of length {len(cyc)})")
+    _require_period(S, m)
     return _trusted(S, m, (0,) * len(S.cycles))
 
 
-# all_partitions refuses a search with more leaves than this before it starts;
-# 2^16 leaves, sixteen 2-cycles with m = 2, take about 3 s.
-ORACLE_LEAVES = 1 << 16
+# all_partitions, enumerate_compatible and factors.enumerate_factor_maps
+# refuse to list more answers than this, or answers of more than MAX_POINTS
+# points in all, counted before they allocate anything; at the limit, sixteen
+# 2-cycles, the oracle takes about 4 s and the maps about 1.2 s, each 95 MB.
+MAX_ENUMERATION = 1 << 16
+
+
+def _require_enumerable(count: int, what: str, points: int) -> None:
+    """Refuse count answers of `points` points each past either limit."""
+    if count > MAX_ENUMERATION:
+        raise DomainError(f"the enumeration would list more than {MAX_ENUMERATION} {what}")
+    if count * points > MAX_POINTS:
+        raise DomainError(f"the enumeration would list more than {MAX_POINTS} points")
 
 
 def all_partitions(S: FinSystem, m: int, bound: int = 12) -> list:
@@ -420,22 +422,25 @@ def all_partitions(S: FinSystem, m: int, bound: int = 12) -> list:
     admitted through PeriodicPartition.from_blocks alone, which checks it
     once with validate_partition.
 
-    A search with more than ORACLE_LEAVES leaves (m to the number of cycles
-    before the first whose length m does not divide) is refused before it
-    starts.  That cycle wraps round for no start label, so the answer is
-    then [].  Otherwise every cycle wraps round through every block, and the
-    search is one loop over the cycles' start labels, m each, so it takes
-    any number of cycles.
+    A search with more than MAX_ENUMERATION leaves (m to the number of
+    cycles before the first whose length m does not divide) is refused
+    before it starts.  That cycle wraps round for no start label, so the
+    answer is then [].  Otherwise every cycle wraps round through every
+    block, and the search is one loop over the cycles' start labels, m each,
+    so it takes any number of cycles (_require_enumerable bounds the output).
     """
     require_int(m, "length must be a positive integer", 1)
     if S.size > bound or m > bound:
         raise DomainError(f"oracle bound {quoted(bound)} exceeded")
     cycles = S.cycles
     depth = next((i for i, c in enumerate(cycles) if len(c) % m), len(cycles))
-    if m ** depth > ORACLE_LEAVES:
-        raise DomainError(f"the oracle would try {m}^{depth} labelings, more than {ORACLE_LEAVES}")
+    if m ** depth > MAX_ENUMERATION:
+        raise DomainError(
+            f"the oracle would try {m}^{depth} labelings, more than {MAX_ENUMERATION}"
+        )
     if depth < len(cycles):
         return []
+    _require_enumerable(m ** depth, "partitions", S.size)
     out = []
     for starts in itertools.product(range(m), repeat=len(cycles)):
         blocks = [[] for _ in range(m)]
@@ -527,10 +532,9 @@ def are_compatible(P1: PeriodicPartition, P2: PeriodicPartition) -> bool:
 
 
 def _crt(a: int, m: int, b: int, n: int) -> int:
-    """The s in 0..lcm-1 with s = a mod m and s = b mod n."""
+    """The s in 0..lcm-1 with s = a mod m and s = b mod n, for a and b that
+    agree mod gcd(m, n), as every caller's are by construction."""
     g = math.gcd(m, n)
-    if (b - a) % g:
-        raise DomainError("congruences have no common solution")
     mg, ng = m // g, n // g
     t = ((b - a) // g * pow(mg, -1, ng)) % ng
     return (a + m * t) % (m * ng)
@@ -577,17 +581,6 @@ def make_compatible(P1: PeriodicPartition, m2: int) -> PeriodicPartition:
     )
 
 
-# enumerate_compatible and factors.enumerate_factor_maps refuse to list more
-# partitions or maps than this, counted before they allocate anything; at
-# the limit, sixteen 2-cycles, the maps take about 1.2 s and 90 MB.
-MAX_ENUMERATION = 1 << 16
-
-
-def _require_enumerable(count: int, what: str) -> None:
-    if count > MAX_ENUMERATION:
-        raise DomainError(f"the enumeration would list more than {MAX_ENUMERATION} {what}")
-
-
 def _compatible_offsets(S: FinSystem, anchors, m1: int, m2: int):
     """Yield, for each anchor (a length-m1 partition's offsets), the offsets
     of every compatible length-m2 partition, in canonical order: one offset
@@ -618,10 +611,11 @@ def enumerate_compatible(P1: PeriodicPartition, m2: int) -> list:
     pairs in canonical order; two share a class id iff they are cyclic shifts
     of each other, that is iff their offsets agree once the first is shifted
     to 0.  More than MAX_ENUMERATION, m2 * (m2/d)^(k-1) on k cycles with
-    d = gcd(m1, m2), are refused."""
+    d = gcd(m1, m2), or more than MAX_POINTS points in all, are refused."""
     S = P1.system
     _require_period(S, m2)
-    _require_enumerable(m2 * (m2 // math.gcd(P1.length, m2)) ** (len(S.cycles) - 1), "partitions")
+    count = m2 * (m2 // math.gcd(P1.length, m2)) ** (len(S.cycles) - 1)
+    _require_enumerable(count, "partitions", S.size)
     out, class_ids = [], {}
     for offs in next(_compatible_offsets(S, [P1.offsets], P1.length, m2)):
         shifted = tuple([(o - offs[0]) % m2 for o in offs])
@@ -640,7 +634,8 @@ class PartitionChain:
 
     Compatibility plus divisibility makes each level a blockwise refinement
     of the one before (see refines), and pairwise compatibility of all
-    levels follows; validate_chain reports those derived facts.
+    levels follows; validate_chain reports those derived facts, and the
+    first problem it names is the constructor's refusal.
     """
 
     partitions: tuple = ()
@@ -650,15 +645,11 @@ class PartitionChain:
         object.__setattr__(self, "partitions", parts)
         if not parts:
             raise DomainError("a chain needs at least one level")
-        S = parts[0].system
-        for P in parts:
-            if P.system != S:
-                raise DomainError("chain mixes systems")
-        for A, B in zip(parts, parts[1:]):
-            if B.length % A.length:
-                raise DomainError(f"{A.length} does not divide {B.length}")
-            if not are_compatible(A, B):
-                raise DomainError("consecutive levels are incompatible")
+        if any(P.system != parts[0].system for P in parts):
+            raise DomainError("chain mixes systems")
+        problems = _chain_report(parts).problems
+        if problems:
+            raise DomainError(problems[0])
 
     @property
     def system(self) -> FinSystem:
@@ -698,43 +689,34 @@ class ChainReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.levels_valid
-            and self.lengths_divide
-            and self.consecutive_compatible
-            and self.pairwise_compatible
-            and self.blockwise_refinement
-        )
+        return not self.problems  # each false flag names a problem
 
 
 def validate_chain(system: FinSystem, levels) -> ChainReport:
     """Check a raw list of block lists against every chain invariant."""
     problems = []
     parts = []
-    levels_valid = True
     for i, blocks in enumerate(levels):
         report = validate_partition(system, blocks)
-        if not report.ok:
-            levels_valid = False
-            problems.append(f"level {i}: " + "; ".join(report.problems))
-        else:
+        if report.ok:
             parts.append(report.partition)
+        else:
+            problems.append(f"level {i}: " + "; ".join(report.problems))
     if not levels:
-        levels_valid = False
         problems.append("empty chain")
-    if not levels_valid:
+    if problems:
         return ChainReport(False, False, False, False, False, tuple(problems))
+    return _chain_report(parts)
 
-    divides = True
-    for A, B in zip(parts, parts[1:]):
-        if B.length % A.length:
-            divides = False
-            problems.append(f"{A.length} does not divide {B.length}")
+
+def _chain_report(parts) -> ChainReport:
+    """validate_chain's report on levels that are partitions of one system."""
+    pairs = list(zip(parts, parts[1:]))
+    problems = [f"{A.length} does not divide {B.length}" for A, B in pairs if B.length % A.length]
+    divides = not problems
     # with the lengths dividing, B refines A blockwise exactly when the pair
     # is compatible (see refines): one test serves both checks
-    incompatible = [
-        i for i, (A, B) in enumerate(zip(parts, parts[1:])) if not are_compatible(A, B)
-    ]
+    incompatible = [i for i, (A, B) in enumerate(pairs) if not are_compatible(A, B)]
     problems += [f"levels {i} and {i + 1} are incompatible" for i in incompatible]
     # the consecutive pairs are listed above; only the others are left
     distant = [
@@ -746,7 +728,7 @@ def validate_chain(system: FinSystem, levels) -> ChainReport:
         problems += [f"level {i + 1} does not refine level {i} blockwise" for i in incompatible]
     consecutive = not incompatible
     return ChainReport(
-        levels_valid, divides, consecutive, consecutive and not distant, divides and consecutive,
+        True, divides, consecutive, consecutive and not distant, divides and consecutive,
         tuple(problems),
     )
 
@@ -767,26 +749,20 @@ def extend_chain(chain: PartitionChain, m: int) -> PartitionChain:
     """Insert a length-m level into the chain's divisibility ladder.
 
     A length already present returns the chain unchanged.  New finest
-    levels are built with make_compatible; interior and front fits coarsen
-    the next finer level, which stays compatible with both neighbours.
+    levels are built with make_compatible; a level that fits before level j
+    (j = 0, or the level before it divides m) coarsens level j, which stays
+    compatible with both neighbours.
     """
     require_int(m, "length must be a positive integer", 1)
-    lengths = chain.lengths
+    lengths, parts = chain.lengths, chain.partitions
     if m in lengths:
         return chain
     _require_period(chain.system, m)
     if m % lengths[-1] == 0:
-        new = make_compatible(chain.partitions[-1], m)
-        return _trusted_chain(chain.partitions + (new,))
-    if lengths[0] % m == 0:
-        new = coarsen(chain.partitions[0], m)
-        return _trusted_chain((new,) + chain.partitions)
-    for i in range(len(lengths) - 1):
-        if m % lengths[i] == 0 and lengths[i + 1] % m == 0:
-            new = coarsen(chain.partitions[i + 1], m)
-            return _trusted_chain(
-                chain.partitions[: i + 1] + (new,) + chain.partitions[i + 1 :]
-            )
+        return _trusted_chain(parts + (make_compatible(parts[-1], m),))
+    for j, n in enumerate(lengths):
+        if n % m == 0 and (j == 0 or m % lengths[j - 1] == 0):
+            return _trusted_chain(parts[:j] + (coarsen(parts[j], m),) + parts[j:])
     raise DomainError(f"{m} does not fit the chain's divisibility ladder")
 
 

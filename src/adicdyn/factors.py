@@ -198,11 +198,12 @@ def enumerate_factor_maps(S: FinSystem, lengths) -> list:
     not coherent is normalized at point 0, as in build_factor_map.  Classes
     are equal fibers: finest levels whose offsets agree once the first is
     shifted to 0.  More than dynsys.MAX_ENUMERATION maps, prod(lengths) *
-    n_L^(k-1) on k cycles, are refused.
+    n_L^(k-1) on k cycles, or dynsys.MAX_POINTS points in all, are refused.
     """
     levels = dynsys._period_base(S, lengths).levels
     n = levels[-1]
-    dynsys._require_enumerable(math.prod(levels) * n ** (len(S.cycles) - 1), "factor maps")
+    count = math.prod(levels) * n ** (len(S.cycles) - 1)
+    dynsys._require_enumerable(count, "factor maps", S.size)
     chains, prev = [(trivial_partition(S).offsets,)], 1
     for m in levels:
         found = dynsys._compatible_offsets(S, [ch[-1] for ch in chains], prev, m)

@@ -15,7 +15,7 @@ import pytest
 import adicdyn
 from adicdyn import cli, factors
 from adicdyn.cli import _build_parser, run
-from adicdyn.dynsys import MAX_ENUMERATION, MAX_POINTS, ORACLE_LEAVES
+from adicdyn.dynsys import MAX_ENUMERATION, MAX_POINTS
 
 
 def invoke(capsys, *argv):
@@ -407,7 +407,7 @@ def test_oracle_search_is_bounded_before_it_starts():
         timeout=10,
     )
     assert proc.returncode == 1, proc.stderr
-    assert f"2^20 labelings, more than {ORACLE_LEAVES}" in proc.stderr
+    assert f"2^20 labelings, more than {MAX_ENUMERATION}" in proc.stderr
 
 
 def test_oracle_answers_at_once_when_a_cycle_cannot_wrap_round():
@@ -500,7 +500,7 @@ def test_chain_levels_must_be_block_lists(capsys):
     # array or an object, once reached the library and raised TypeError
     shape, ids = "a partition is a JSON array of point arrays", "integer point ids"
     cases = [("[[1]]", shape), ("[[[0,1]],[2]]", shape), ("[[[[0],[1]]]]", ids),
-             ('[[[0],[{"a":1}]]]', ids)]
+             ('[[[0],[{"a":1}]]]', ids), ("[1]", "a chain is a JSON array of partitions")]
     for chain, message in cases:
         for argv in (("chain", "validate", "(0 1)", chain),
                      ("chain", "extend", "(0 1)", chain, "2")):
@@ -515,6 +515,16 @@ def test_chain_extend_parses_every_level_before_building(capsys):
     assert invoke(capsys, "chain", "extend", "(0 1 2 3)", "[[[0,1],[2,3]]]", "4")[0] == 1
     code, _, err = invoke(capsys, "chain", "extend", "(0 1 2 3)", "[[[0,1],[2,3]],[2]]", "4")
     assert code == 2 and "a partition is a JSON array of point arrays" in err
+
+
+def test_chain_extend_refuses_with_the_chain_rule(capsys):
+    # the chain is checked by validate_chain's rule, in its words
+    levels = "[[[0,2],[1,3]],[[0,3],[1,2]]]"
+    code, out, err = invoke(capsys, "chain", "extend", "(0 1)(2 3)", levels, "4")
+    assert (code, out, err) == (1, "", "error: levels 0 and 1 are incompatible\n")
+    levels = "[[[0],[1],[2],[3]],[[0,2],[1,3]]]"
+    code, out, err = invoke(capsys, "chain", "extend", "(0 1 2 3)", levels, "4")
+    assert (code, out, err) == (1, "", "error: 4 does not divide 2\n")
 
 
 def _bounded_run(*argv):
@@ -549,6 +559,23 @@ def test_cylinder_is_bounded_before_allocating():
     # one member of a level of 10^9 points, once found by scanning them all
     proc = _bounded_run("odo", "cylinder", "1000000000,1000000000", "1", "5")
     assert (proc.returncode, proc.stdout) == (0, "5\n"), proc.stderr
+
+
+def test_compat_enumerate_is_bounded_by_the_points_it_lists():
+    # few answers of many points each: the 4,096 partitions of one
+    # 4,096-cycle once took 22 s, 113 MB of output and 2.9 GB
+    cycle = "(" + " ".join(map(str, range(4096))) + ")"
+    proc = _bounded_run("compat", "enumerate", cycle, json.dumps([list(range(4096))]), "4096")
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert f"would list more than {MAX_POINTS} points" in proc.stderr
+
+
+def test_oracle_is_bounded_by_the_points_it_lists():
+    # the 1,600 partitions of one 1,600-cycle once took 4 s and 16 MB
+    cycle = "(" + " ".join(map(str, range(1600))) + ")"
+    proc = _bounded_run("oracle", cycle, "1600", "--bound", "1600")
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert f"would list more than {MAX_POINTS} points" in proc.stderr
 
 
 # ------------------------------------------------------- parser and package

@@ -94,6 +94,18 @@ def test_parse_rejects(bad):
         parse_cycles(bad)
 
 
+@pytest.mark.parametrize(
+    "text, size, message",
+    [("(0 -1)", None, "point ids are nonnegative"),
+     ("(0 5)", 3, "declared size is smaller than the largest point id"),
+     ("", None, "empty system"),
+     ("", 0, "empty system")],
+)
+def test_parse_rejects_with_its_message(text, size, message):
+    with pytest.raises(ParseError, match=message):
+        parse_cycles(text, size)
+
+
 def test_format_round_trip():
     S = helpers.system_of_type((3, 2, 1))
     assert parse_cycles(format_cycles(S)) == S
@@ -112,6 +124,11 @@ def test_forward_map_entries_must_be_ints(fwd):
     # bool and float entries once passed the sort check, which compares by ==
     with pytest.raises(DomainError, match=r"not a permutation of 0\.\.N-1"):
         FinSystem(fwd)
+
+
+def test_a_system_needs_a_point():
+    with pytest.raises(DomainError, match="at least one point"):
+        FinSystem(())
 
 
 def test_fin_system_matches_the_permutation_definition():
@@ -255,13 +272,25 @@ def test_oracle_bound():
 def test_oracle_refuses_more_leaves_than_its_limit():
     # the search labels cycles in turn and stops at the first whose length
     # m does not divide: m to the number of cycles before it is its leaves
-    assert dynsys.ORACLE_LEAVES == 1 << 16
+    assert dynsys.MAX_ENUMERATION == 1 << 16
     twos = (2,) * 17
     for parts in (twos, twos + (3,)):
         with pytest.raises(DomainError, match=r"2\^17 labelings, more than 65536"):
             all_partitions(helpers.system_of_type(parts), 2, bound=40)
     assert all_partitions(helpers.system_of_type((3,) + twos), 2, bound=40) == []
     assert len(all_partitions(helpers.system_of_type((2,) * 12), 2, bound=40)) == 1 << 12
+
+
+def test_oracle_refuses_more_points_than_the_limit(monkeypatch):
+    # the limit counts points, not labelings: 4^3 partitions of 12 points
+    S = helpers.system_of_type((4, 4, 4))
+    monkeypatch.setattr(dynsys, "MAX_POINTS", 4**3 * 12)
+    assert len(all_partitions(S, 4)) == 4**3
+    monkeypatch.setattr(dynsys, "MAX_POINTS", 4**3 * 12 - 1)
+    with pytest.raises(DomainError, match=f"would list more than {4**3 * 12 - 1} points"):
+        all_partitions(S, 4)
+    # a cycle that cannot wrap round is answered before the count is read
+    assert all_partitions(helpers.system_of_type((4, 4, 3)), 4) == []
 
 
 def test_oracle_takes_any_number_of_cycles():
@@ -443,6 +472,14 @@ def test_equivalence_requires_same_length():
     S = helpers.system_of_type((6,))
     with pytest.raises(DomainError):
         are_equivalent(canonical_partition(S, 2), canonical_partition(S, 3))
+
+
+def test_comparisons_require_one_system():
+    Q6 = canonical_partition(helpers.system_of_type((6,)), 2)
+    Q4 = canonical_partition(helpers.system_of_type((4,)), 2)
+    for compare in (are_equivalent, constant_label_offset, are_compatible):
+        with pytest.raises(DomainError, match="partitions live on different systems"):
+            compare(Q6, Q4)
 
 
 # ------------------------------------------------------------- coarsen
@@ -671,6 +708,10 @@ def test_make_compatible_rejects_length_not_in_ess():
     S = helpers.system_of_type((2, 2))
     with pytest.raises(DomainError):
         make_compatible(trivial_partition(S), 3)
+    # the canonical partition refuses by the same rule, in the same words
+    for m in (3, 4, True):
+        with pytest.raises(DomainError, match=f"^no partition of length {m} exists$"):
+            canonical_partition(S, m)
 
 
 def test_make_compatible_rejects_non_int_length():
@@ -887,6 +928,27 @@ def test_validate_chain_reports():
     rep = validate_chain(S, bad)
     assert not rep.ok
     assert not rep.lengths_divide
+
+
+def test_chain_constructor_refuses_with_validate_chains_first_problem():
+    S = helpers.system_of_type((2, 2))
+    Q, R = P(S, [0, 2], [1, 3]), P(S, [0, 3], [1, 2])
+    with pytest.raises(DomainError, match="a chain needs at least one level"):
+        dynsys.PartitionChain(())
+    T = trivial_partition(helpers.system_of_type((4,)))
+    with pytest.raises(DomainError, match="chain mixes systems"):
+        dynsys.PartitionChain((trivial_partition(S), T))
+    with pytest.raises(DomainError, match="^2 does not divide 1$"):
+        dynsys.PartitionChain((Q, trivial_partition(S)))
+    with pytest.raises(DomainError, match="^levels 0 and 1 are incompatible$"):
+        dynsys.PartitionChain((Q, R))
+    # the first of several problems: divisibility is listed before compatibility
+    with pytest.raises(DomainError, match="^2 does not divide 1$"):
+        dynsys.PartitionChain((Q, R, trivial_partition(S)))
+    assert validate_chain(S, [blocks_json(Q), blocks_json(R)]).problems == (
+        "levels 0 and 1 are incompatible",
+        "level 1 does not refine level 0 blockwise",
+    )
 
 
 def test_chain_pairwise_compatible():

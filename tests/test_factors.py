@@ -197,6 +197,8 @@ def test_fiber_accepts_adic_int():
     S = helpers.system_of_type((12,))
     F = build_factor_map(S, chain_of(S, [2, 4]))
     assert fiber(F, from_integer(F.target, 1)) == fiber(F, (1, 1))
+    with pytest.raises(DomainError, match="label vector has a different base"):
+        fiber(F, from_integer(BaseSequence((2, 6)), 1))
 
 
 # ------------------------------------------------------------- existence
@@ -550,7 +552,7 @@ def test_enumerations_refuse_more_than_their_limit(monkeypatch):
     # the closed-form counts, m2 * (m2/d)^(k-1) partitions and
     # prod(lengths) * n_L^(k-1) maps, are refused above the limit before
     # anything is built
-    assert dynsys.MAX_ENUMERATION == dynsys.ORACLE_LEAVES == 1 << 16
+    assert dynsys.MAX_ENUMERATION == 1 << 16
     S = helpers.system_of_type((2,) * 17)
     with pytest.raises(DomainError, match="more than 65536 partitions"):
         enumerate_compatible(trivial_partition(S), 2)
@@ -566,6 +568,23 @@ def test_enumerations_refuse_more_than_their_limit(monkeypatch):
     assert sum(map(len, enumerate_factor_maps(S, [2, 4]))) == 128
     with pytest.raises(DomainError):
         enumerate_factor_maps(S, [2, 4, 4])  # 2 * 4 * 4 * 4^2
+    # so are answers of more than MAX_POINTS points in all, at the limit
+    # and one point over it
+    monkeypatch.setattr(dynsys, "MAX_POINTS", 128 * S.size)
+    assert sum(map(len, enumerate_factor_maps(S, [2, 4]))) == 128
+    monkeypatch.setattr(dynsys, "MAX_POINTS", 128 * S.size - 1)
+    with pytest.raises(DomainError, match=f"would list more than {128 * S.size - 1} points"):
+        enumerate_factor_maps(S, [2, 4])
+    monkeypatch.setattr(dynsys, "MAX_POINTS", 16 * S.size)
+    assert len(enumerate_compatible(canonical_partition(S, 2), 4)) == 16
+    monkeypatch.setattr(dynsys, "MAX_POINTS", 16 * S.size - 1)
+    with pytest.raises(DomainError, match=f"would list more than {16 * S.size - 1} points"):
+        enumerate_compatible(canonical_partition(S, 2), 4)
+    # the documented limit: sixteen 2-cycles, 2^16 answers of 32 points
+    monkeypatch.undo()
+    dynsys._require_enumerable(1 << 16, "factor maps", 32)
+    with pytest.raises(DomainError, match="more than 2097152 points"):
+        dynsys._require_enumerable(1 << 16, "factor maps", 33)
 
 
 def test_factor_map_is_its_chain():

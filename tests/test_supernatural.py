@@ -1,7 +1,9 @@
 """Lattice arithmetic, the factorization embedding, and literal parsing."""
 
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +133,8 @@ def test_phi0_and_phi_of_set_refuse_bools():
         phi_of_set([True, 2])
     with pytest.raises(DomainError, match="positive integer"):
         phi_of_set([2, False])
+    with pytest.raises(DomainError, match="phi of the empty set is undefined"):
+        phi_of_set([])
 
 
 def test_exponent_lookup():
@@ -139,6 +143,27 @@ def test_exponent_lookup():
     assert a.exponent(5) is INF
     assert a.exponent(7) == 0
     assert TOP.exponent(9973) is INF
+
+
+def test_inf_orders_above_every_int_and_absorbs_addition():
+    for n in (0, 1, 10**30):
+        assert not INF < n and not INF <= n and INF > n and INF >= n
+        assert n < INF and n <= INF and not n > INF and not n >= INF
+        assert INF + n is INF and n + INF is INF
+    assert not INF < INF and INF <= INF and not INF > INF and INF >= INF
+    assert INF + INF is INF
+    assert repr(INF) == "inf" and type(INF)() is INF
+
+
+def test_inf_survives_pickle_and_deepcopy_as_itself():
+    # the merge walk matches INF by identity, so a copied value must still
+    # hold the one INF
+    a, top = parse_supernatural("2^inf*3"), parse_supernatural("5;default=inf")
+    for copied in (lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy):
+        b, t = copied(a), copied(top)
+        assert (b, t) == (a, top) and b.exps[0][1] is INF and t.default is INF
+        assert format_supernatural(gcd(b, parse_supernatural("2^5*3^2"))) == "2^5*3"
+        assert format_supernatural(lcm(b, t)) == format_supernatural(lcm(a, top))
 
 
 # ------------------------------------------------------------ frozen values
