@@ -16,7 +16,7 @@ import sys
 from typing import NamedTuple
 
 from . import dynsys, factors, odometer, supernatural
-from .errors import DomainError, ParseError, parse_int, parse_ints, quoted
+from .errors import DomainError, ParseError, parse_int, parse_ints, quoted, require_int
 
 
 class Output(NamedTuple):
@@ -31,7 +31,7 @@ def _compact(value) -> str:
 def _json_value(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
         raise ParseError(f"bad JSON: {exc}") from None
     except RecursionError:
         raise ParseError("bad JSON: nested too deeply") from None
@@ -167,11 +167,8 @@ def _h_odo(ns) -> Output:
     if op == "cylinder":
         cyl = odometer.cylinder(base, ns.j, ns.residue)
         n = base.levels[-1] // cyl.step  # len(cyl) stops at sys.maxsize
-        if n > dynsys.MAX_POINTS:
-            limit = dynsys.MAX_POINTS
-            raise DomainError(
-                f"a cylinder of {quoted(n)} points is larger than the limit of {limit}"
-            )
+        message = f"a cylinder of {{}} points is larger than the limit of {dynsys.MAX_POINTS}"
+        require_int(n, message, 1, dynsys.MAX_POINTS + 1)
         members = list(cyl)
         return Output(
             [",".join(map(str, members))],

@@ -16,10 +16,10 @@ listed and ordered by _compatible_offsets, and only the answers are built
 as partitions, at most MAX_ENUMERATION of them and MAX_POINTS points in
 all, counted in closed form before anything is built.
 
-The brute-force oracle all_partitions only relies on the defining clauses;
-the faster formulas (ess_periods, the compatibility criterion, the
-enumeration of compatible partitions) are cross-validated against it in the
-test suite.
+The brute-force oracle all_partitions only relies on the defining clauses,
+and its answers are bounded as the enumeration's are; the faster formulas
+(ess_periods, the compatibility criterion, the enumeration of compatible
+partitions) are cross-validated against it in the test suite.
 """
 
 from __future__ import annotations
@@ -422,25 +422,20 @@ def all_partitions(S: FinSystem, m: int, bound: int = 12) -> list:
     admitted through PeriodicPartition.from_blocks alone, which checks it
     once with validate_partition.
 
-    A search with more than MAX_ENUMERATION leaves (m to the number of
-    cycles before the first whose length m does not divide) is refused
-    before it starts.  That cycle wraps round for no start label, so the
-    answer is then [].  Otherwise every cycle wraps round through every
-    block, and the search is one loop over the cycles' start labels, m each,
-    so it takes any number of cycles (_require_enumerable bounds the output).
+    A cycle whose length m does not divide wraps round for no start label,
+    so the answer is then [].  Otherwise every cycle wraps round through
+    every block, every one of the m^cycles start labelings is an answer,
+    and _require_enumerable refuses that many before the search starts; the
+    search is one loop over the start labels, so it takes any number of
+    cycles.
     """
     require_int(m, "length must be a positive integer", 1)
     if S.size > bound or m > bound:
         raise DomainError(f"oracle bound {quoted(bound)} exceeded")
     cycles = S.cycles
-    depth = next((i for i, c in enumerate(cycles) if len(c) % m), len(cycles))
-    if m ** depth > MAX_ENUMERATION:
-        raise DomainError(
-            f"the oracle would try {m}^{depth} labelings, more than {MAX_ENUMERATION}"
-        )
-    if depth < len(cycles):
+    if any(len(c) % m for c in cycles):
         return []
-    _require_enumerable(m ** depth, "partitions", S.size)
+    _require_enumerable(m ** len(cycles), "partitions", S.size)
     out = []
     for starts in itertools.product(range(m), repeat=len(cycles)):
         blocks = [[] for _ in range(m)]
@@ -494,12 +489,12 @@ def cyclic_shift(P: PeriodicPartition, k: int) -> PeriodicPartition:
 
 
 def are_equivalent(P1: PeriodicPartition, P2: PeriodicPartition) -> bool:
-    """True iff some cyclic reindexing maps one block list onto the other."""
-    if P1.system != P2.system:
-        raise DomainError("partitions live on different systems")
+    """True iff some cyclic reindexing maps one block list onto the other:
+    their label offset is constant mod gcd(m, m) = m."""
+    offset = constant_label_offset(P1, P2)  # refuses two systems first
     if P1.length != P2.length:
         raise DomainError("partitions have different lengths")
-    return len({(b - a) % P1.length for a, b in zip(P1.offsets, P2.offsets)}) == 1
+    return offset is not None
 
 
 def coarsen(P: PeriodicPartition, d: int) -> PeriodicPartition:

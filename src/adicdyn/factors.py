@@ -26,7 +26,7 @@ from .dynsys import (
     refines,
     trivial_partition,
 )
-from .errors import DomainError, require_int
+from .errors import DomainError
 from .odometer import AdicInt, BaseSequence, ess_of_odometer
 from .supernatural import (
     INF,
@@ -184,7 +184,6 @@ def max_odometer_factor(S: FinSystem, depth: int | None = None):
     if depth is None:
         exps = [e for _, e in top.exps if e is not INF]
         depth = max(1, len(top.exps) + (max(exps) if exps else 0))
-    require_int(depth, "depth must be a positive integer", 1)
     seq = extract_regular_sequence(top, depth)
     chain = dynsys.build_chain(S, seq)
     return seq, build_factor_map(S, chain)

@@ -119,11 +119,8 @@ def cylinder(base: BaseSequence, j: int, x_j: int) -> range:
 
 def truncate(base: BaseSequence, k: int) -> FinSystem:
     """The depth-k truncation: the rotation i -> i+1 on Z_{n_k}."""
-    n = _level(base, k)
-    if n > MAX_POINTS:
-        raise DomainError(
-            f"a truncation of {quoted(n)} points is larger than the limit of {MAX_POINTS}"
-        )
+    message = f"a truncation of {{}} points is larger than the limit of {MAX_POINTS}"
+    n = require_int(_level(base, k), message, 1, MAX_POINTS + 1)
     return FinSystem(tuple((i + 1) % n for i in range(n)))
 
 

@@ -407,7 +407,7 @@ def test_oracle_search_is_bounded_before_it_starts():
         timeout=10,
     )
     assert proc.returncode == 1, proc.stderr
-    assert f"2^20 labelings, more than {MAX_ENUMERATION}" in proc.stderr
+    assert f"would list more than {MAX_ENUMERATION} partitions" in proc.stderr
 
 
 def test_oracle_answers_at_once_when_a_cycle_cannot_wrap_round():
@@ -493,6 +493,17 @@ def test_deeply_nested_json_is_a_parse_error(capsys):
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (2, ""), err
         assert "nested too deeply" in err
+
+
+def test_json_integers_of_too_many_digits_are_parse_errors(capsys):
+    # Python's json refuses an int of more than 4,300 digits with a plain
+    # ValueError, not a JSONDecodeError, which once escaped run() as a traceback
+    partition = "[[0," + "1" * 5000 + "]]"
+    for argv in (("compat", "check", "(0 1)", partition, "[[0,1]]"),
+                 ("chain", "validate", "(0 1)", "[" + "1" * 5000 + "]")):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, ""), err
+        assert err.startswith("error: bad JSON: ") and len(err) < 300
 
 
 def test_chain_levels_must_be_block_lists(capsys):

@@ -332,6 +332,7 @@ def test_adic_round_trip():
     x = parse_adic(base, "[1,1,5]")
     assert x.residues == (1, 1, 5)
     assert format_adic(x) == "[1,1,5]"
+    assert str(x) == format_adic(x)
     assert parse_adic(base, " [ 1 , 1 , 5 ] ") == x
     with pytest.raises(ParseError):
         parse_adic(base, "[1,1]")

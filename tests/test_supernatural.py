@@ -346,6 +346,7 @@ def test_regular_contains():
 )
 def test_parse_format_canonicalizes(text, canonical):
     assert format_supernatural(parse_supernatural(text)) == canonical
+    assert str(parse_supernatural(text)) == canonical
 
 
 @pytest.mark.parametrize(
