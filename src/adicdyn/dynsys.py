@@ -11,10 +11,10 @@ checked by the walk that finds its cycles, at construction, and a block
 list by reading it as a labeling and checking the step rule along each
 cycle (validate_partition names the failing clauses only when that check
 fails).  Every construction below is arithmetic on the offsets, O(cycles)
-rather than O(points), and so is enumeration: candidates are offset tuples,
-listed and ordered by _compatible_offsets, and only the answers are built
-as partitions, at most MAX_ENUMERATION of them and MAX_POINTS points in
-all, counted in closed form before anything is built.
+rather than O(points), and so is enumeration: _compatible_candidates lists
+each residue key's offset tuples once, in order and classed by position,
+and builds them as partitions, at most MAX_ENUMERATION of them and
+MAX_POINTS points in all, counted in closed form before anything is built.
 
 The brute-force oracle all_partitions only relies on the defining clauses,
 and its answers are bounded as the enumeration's are; the faster formulas
@@ -373,7 +373,8 @@ def _trusted(system: FinSystem, m: int, offsets) -> PeriodicPartition:
     """The length-m partition with offsets right by construction (each below
     m, every cycle length a multiple of m); no check."""
     P = object.__new__(PeriodicPartition)
-    P.__dict__.update(system=system, length=m, offsets=tuple(offsets))
+    fields = P.__dict__  # written directly, past the frozen __setattr__
+    fields["system"], fields["length"], fields["offsets"] = system, m, tuple(offsets)
     return P
 
 
@@ -576,11 +577,17 @@ def make_compatible(P1: PeriodicPartition, m2: int) -> PeriodicPartition:
     )
 
 
-def _compatible_offsets(S: FinSystem, anchors, m1: int, m2: int):
-    """Yield, for each anchor (a length-m1 partition's offsets), the offsets
-    of every compatible length-m2 partition, in canonical order: one offset
-    per cycle, all cycles inducing the same label difference mod
-    d = gcd(m1, m2), so the first ranges freely and pins the difference.
+def _compatible_candidates(S: FinSystem, anchors, m1: int, m2: int):
+    """Yield, for each anchor (a length-m1 partition's offsets), the (partition,
+    class id) pairs of every compatible length-m2 partition in canonical
+    order, and the class representatives by id.  The first offset s ranges
+    freely and cycle i's offset o then has o - s = r_i mod d = gcd(m1, m2),
+    r_i = (a_i - a_1) mod d: an anchor acts only through its residue key
+    (r_2, ..., r_k), so each key's list is built once and shared.  For each
+    s, cycle i's u-th choice is the offset that shifts to r_i + d*u at s = 0,
+    so a candidate's position in its product is its class: ids number the
+    positions by first appearance, and the s = 0 candidates are the
+    representatives, each its class shifted to first offset 0.
 
     The canonical order (by key()) is decided by block 0, and offset o puts
     cycle i's points cycles[i][-o % m2::m2] there, each offset its own.  So
@@ -591,31 +598,36 @@ def _compatible_offsets(S: FinSystem, anchors, m1: int, m2: int):
     """
     d = math.gcd(m1, m2)
     low = [[min(c[-o % m2::m2]) for o in range(m2)] for c in S.cycles]
+    ring = (*range(m2), *range(m2))  # ring[t:t + m2:d] is (t + d*u) mod m2, u ascending
+    memo = {}
     for anchor in anchors:
-        found = []
-        for o1 in range(m2):
-            delta = (o1 - anchor[0]) % d
-            per_cycle = [[o1]] + [range((a + delta) % d, m2, d) for a in anchor[1:]]
-            found += itertools.product(*per_cycle)
-        found.sort(key=lambda offs: sorted(map(list.__getitem__, low, offs)))
-        yield found
+        key = tuple([(a - anchor[0]) % d for a in anchor[1:]])
+        if key not in memo:
+            found, residues = [], set(key)
+            for s in range(m2):
+                turned = {r: ring[s + r:s + r + m2:d] for r in residues}
+                found += itertools.product((s,), *map(turned.__getitem__, key))
+            parts = [_trusted(S, m2, offs) for offs in found]
+            sort_keys = [sorted(map(list.__getitem__, low, offs)) for offs in found]
+            n, ids = len(found) // m2, {}  # n classes, found[j] in class j % n
+            order = sorted(range(len(found)), key=sort_keys.__getitem__)
+            tagged = [(parts[j], ids.setdefault(j % n, len(ids))) for j in order]
+            memo[key] = tagged, [parts[j] for j in ids]  # ids lists the classes by id
+        yield memo[key]
 
 
 def enumerate_compatible(P1: PeriodicPartition, m2: int) -> list:
     """Every length-m2 partition compatible with P1, as (partition, class_id)
     pairs in canonical order; two share a class id iff they are cyclic shifts
-    of each other, that is iff their offsets agree once the first is shifted
-    to 0.  More than MAX_ENUMERATION, m2 * (m2/d)^(k-1) on k cycles with
-    d = gcd(m1, m2), or more than MAX_POINTS points in all, are refused."""
+    of each other (their offsets agree once the first is shifted to 0), and
+    ids count up by first appearance.  More than MAX_ENUMERATION, m2 *
+    (m2/d)^(k-1) on k cycles with d = gcd(m1, m2), or more than MAX_POINTS
+    points in all, are refused."""
     S = P1.system
     _require_period(S, m2)
     count = m2 * (m2 // math.gcd(P1.length, m2)) ** (len(S.cycles) - 1)
     _require_enumerable(count, "partitions", S.size)
-    out, class_ids = [], {}
-    for offs in next(_compatible_offsets(S, [P1.offsets], P1.length, m2)):
-        shifted = tuple([(o - offs[0]) % m2 for o in offs])
-        out.append((_trusted(S, m2, offs), class_ids.setdefault(shifted, len(class_ids))))
-    return out
+    return next(_compatible_candidates(S, [P1.offsets], P1.length, m2))[0]
 
 
 def is_indecomposable(S: FinSystem) -> bool:

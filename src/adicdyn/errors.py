@@ -19,8 +19,12 @@ class DomainError(ValueError):
 
 def quoted(value) -> str:
     """repr(value) for an error message; past 50 characters of its text (a
-    str, or the repr of any other value), that text's start and its length."""
-    text = value if type(value) is str else repr(value)
+    str, or the repr of any other value), that text's start and its length,
+    and for an int too long for Python to convert to text, its bit length."""
+    try:
+        text = value if type(value) is str else repr(value)
+    except ValueError:  # past the int-string conversion limit
+        return f"<{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits>"
     return repr(value) if len(text) <= 50 else f"{text[:50]!r}... ({len(text)} characters)"
 
 
@@ -40,11 +44,11 @@ def parse_ints(text: str, what: str) -> tuple:
 
 def require_int(value, message: str, low=float("-inf"), high=float("inf")) -> int:
     """value, if it is an int (a bool is not) with low <= value < high; else
-    a DomainError with message.format(value), where a value of more than 50
-    characters shows as quoted() cuts it."""
+    a DomainError with message.format(value), where an int, or a value of
+    more than 50 characters, shows as quoted() gives it."""
     if type(value) is not int or not low <= value < high:
         shown = quoted(value)
-        if shown != repr(value):
+        if isinstance(value, int) or shown != repr(value):
             message, value = message.replace("{!r}", "{}"), shown
         raise DomainError(message.format(value))
     return value

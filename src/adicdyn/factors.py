@@ -192,30 +192,34 @@ def max_odometer_factor(S: FinSystem, depth: int | None = None):
 def enumerate_factor_maps(S: FinSystem, lengths) -> list:
     """All factor maps over chains with the given lengths, in classes.
 
-    Chains grow level by level as tuples of offsets (dynsys._compatible_offsets,
-    from the trivial partition), and each map is built once; a chain that is
-    not coherent is normalized at point 0, as in build_factor_map.  Classes
-    are equal fibers: finest levels whose offsets agree once the first is
-    shifted to 0.  More than dynsys.MAX_ENUMERATION maps, prod(lengths) *
+    Chains grow level by level through dynsys._compatible_candidates, from
+    the trivial partition, carrying their levels, the levels' class
+    representatives (first offset 0) and whether they are coherent so far;
+    one that is not is normalized at point 0 to its representatives, as in
+    build_factor_map.  A coherent chain is fixed by its finest level, so
+    each distinct chain is built into a map once, and a map that recurs is
+    that same object.  Classes are equal fibers: equal finest
+    representatives.  More than dynsys.MAX_ENUMERATION maps, prod(lengths) *
     n_L^(k-1) on k cycles, or dynsys.MAX_POINTS points in all, are refused.
     """
     levels = dynsys._period_base(S, lengths).levels
-    n = levels[-1]
-    count = math.prod(levels) * n ** (len(S.cycles) - 1)
+    count = math.prod(levels) * levels[-1] ** (len(S.cycles) - 1)
     dynsys._require_enumerable(count, "factor maps", S.size)
-    chains, prev = [(trivial_partition(S).offsets,)], 1
+    chains, prev = [((trivial_partition(S),), (), True)], 1  # the seed is dropped at the end
     for m in levels:
-        found = dynsys._compatible_offsets(S, [ch[-1] for ch in chains], prev, m)
-        chains, prev = [ch + (offs,) for ch, cands in zip(chains, found) for offs in cands], m
-    classes, one = {}, {}  # one: a single partition per distinct level
-    for _, *ch in chains:  # the trivial seed dropped
-        firsts = [offs[0] for offs in ch]
-        if any((b - a) % m for a, b, m in zip(firsts, firsts[1:], levels)):
-            ch = [tuple([(o - r) % m for o in offs]) for offs, r, m in zip(ch, firsts, levels)]
-        parts = [one.get(k) or one.setdefault(k, dynsys._trusted(S, *k)) for k in zip(levels, ch)]
-        F = object.__new__(FactorMap)  # coherent on S by construction: no check
-        F.__dict__.update(source=S, chain=dynsys._trusted_chain(parts))
-        classes.setdefault(tuple([(o - ch[-1][0]) % n for o in ch[-1]]), []).append(F)
+        found = dynsys._compatible_candidates(S, [raw[-1].offsets for raw, _, _ in chains], prev, m)
+        chains, prev = [
+            (raw + (P,), norm + (reps[c],), ok and not (P.offsets[0] - raw[-1].offsets[0]) % prev)
+            for (raw, norm, ok), (tagged, reps) in zip(chains, found) for P, c in tagged
+        ], m
+    classes, maps = {}, {}  # maps: one per distinct chain, keyed by its finest level
+    for raw, norm, ok in chains:
+        parts = raw[1:] if ok else norm
+        F = maps.get(id(parts[-1]))
+        if F is None:
+            F = maps[id(parts[-1])] = object.__new__(FactorMap)  # coherent by construction
+            F.__dict__.update(source=S, chain=dynsys._trusted_chain(parts))
+        classes.setdefault(id(norm[-1]), []).append(F)
     return list(classes.values())
 
 

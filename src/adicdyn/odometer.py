@@ -113,7 +113,7 @@ def cylinder(base: BaseSequence, j: int, x_j: int) -> range:
     """The level-j cylinder of residue x_j (j is 1-based): the points of the
     depth-K truncation, as integers mod n_K, whose residue mod n_j is x_j."""
     n_j = _level(base, j)
-    require_int(x_j, f"residue {{}} out of range for modulus {n_j}", 0, n_j)
+    require_int(x_j, f"residue {{}} out of range for modulus {quoted(n_j)}", 0, n_j)
     return range(x_j, base.levels[-1], n_j)
 
 

@@ -716,6 +716,14 @@ def test_make_compatible_rejects_length_not_in_ess():
             canonical_partition(S, m)
 
 
+def test_canonical_partition_refuses_an_int_past_the_conversion_limit():
+    # a length of more digits than Python converts to text is shown by its
+    # bit length, and the refusal stays a DomainError
+    S = helpers.system_of_type((2,))
+    with pytest.raises(DomainError, match=r"^no partition of length <an int of 16610 bits> exists$"):
+        canonical_partition(S, 10**5000)
+
+
 def test_make_compatible_rejects_non_int_length():
     S = helpers.system_of_type((2, 2))
     for m in (2.0, "2", None, 0, -2, True):

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import signal
 from collections import Counter
 
 import pytest
@@ -483,9 +484,30 @@ def test_enumerations_match_the_prefix_by_prefix_reference():
     # returned: the same classes in the same order, the same class ids and
     # equal chains, level by level; on every cycle type up to 10 points and
     # a random relabeling of it, over every divisor chain of the gcd and the
-    # same chain with its top level repeated
+    # same chain with its top level repeated, and on the benchmark's
+    # enumerate shapes beyond 10 points
     def levels(classes):
         return [[[(P.length, P.offsets) for P in F.chain.partitions] for F in c] for c in classes]
+
+    def check_compatible(P1, m2):
+        tagged = enumerate_compatible(P1, m2)
+        want = helpers.enumerate_compatible_reference(P1, m2)
+        assert tagged == want, (P1, m2)
+        assert [(Q.offsets, cid) for Q, cid in tagged] == [(Q.offsets, cid) for Q, cid in want]
+        assert [dynsys.blocks_json(Q) for Q, _ in tagged] == [
+            dynsys.blocks_json(Q) for Q, _ in want
+        ]
+
+    def check_maps(S, chain):
+        classes = enumerate_factor_maps(S, chain)
+        want = helpers.enumerate_factor_maps_reference(S, chain)
+        assert classes == want, (S, chain)
+        assert levels(classes) == levels(want)
+        maps = [F for cls in classes for F in cls]
+        assert len(set(map(id, maps))) == len(set(maps))  # equal maps are one object
+        for F in maps:
+            assert PartitionChain(F.chain.partitions) == F.chain
+            assert build_factor_map(S, F.chain) == F
 
     rng = helpers.seeded(1019)
     for parts in helpers.all_cycle_types(10):
@@ -493,27 +515,23 @@ def test_enumerations_match_the_prefix_by_prefix_reference():
         T = helpers.system_of_type(parts)
         for S in (T, helpers.random_conjugate(T, rng)):
             for m1, m2 in itertools.product(helpers.divisors(g), repeat=2):
-                P1 = helpers.random_partition(S, m1, rng)
-                tagged = enumerate_compatible(P1, m2)
-                want = helpers.enumerate_compatible_reference(P1, m2)
-                assert tagged == want, (parts, m1, m2)
-                assert [(Q.offsets, cid) for Q, cid in tagged] == [
-                    (Q.offsets, cid) for Q, cid in want
-                ]
-                assert [dynsys.blocks_json(Q) for Q, _ in tagged] == [
-                    dynsys.blocks_json(Q) for Q, _ in want
-                ]
+                check_compatible(helpers.random_partition(S, m1, rng), m2)
             for lengths in helpers.strict_divisor_chains(g):
                 if g % lengths[-1]:
                     continue
                 for chain in (lengths, lengths + lengths[-1:]):
-                    classes = enumerate_factor_maps(S, chain)
-                    want = helpers.enumerate_factor_maps_reference(S, chain)
-                    assert classes == want, (parts, chain)
-                    assert levels(classes) == levels(want)
-                    for F in (F for cls in classes for F in cls):
-                        assert PartitionChain(F.chain.partitions) == F.chain
-                        assert build_factor_map(S, F.chain) == F
+                    check_maps(S, chain)
+    for parts, m1, m2 in [
+        ((12, 12, 12, 12), 3, 12), ((12, 12, 12), 2, 12), ((4, 8, 12, 4), 1, 4),
+        ((6, 12, 6, 12), 2, 6), ((6, 12, 6, 12), 1, 3), ((4, 8, 12), 1, 4),
+    ]:
+        S = helpers.random_conjugate(helpers.system_of_type(parts), rng)
+        check_compatible(helpers.random_partition(S, m1, rng), m2)
+    for parts, chain in [
+        ((8, 8), [2, 4, 8]), ((6, 6, 6), [2, 6]), ((12, 12), [12]), ((4, 8, 12), [2, 4]),
+        ((6, 12, 6, 12), [3]), ((4, 6, 8, 12), [2]),
+    ]:
+        check_maps(helpers.random_conjugate(helpers.system_of_type(parts), rng), chain)
 
 
 def test_enumerations_and_built_chains_run_no_checked_constructor(monkeypatch):
@@ -585,6 +603,26 @@ def test_enumerations_refuse_more_than_their_limit(monkeypatch):
     dynsys._require_enumerable(1 << 16, "factor maps", 32)
     with pytest.raises(DomainError, match="more than 2097152 points"):
         dynsys._require_enumerable(1 << 16, "factor maps", 33)
+
+
+def _hang(signum, frame):
+    raise TimeoutError("the enumeration took more than 10 s")
+
+
+def test_enumerating_many_cycles_at_the_point_limit_answers():
+    # 2^19 2-cycles at m1 = m2 = 2: two partitions of 2^20 points each,
+    # exactly MAX_POINTS in all, and one class; every per-cycle step of the
+    # enumeration runs 2^19 times, so it must stay linear in the cycles
+    S = helpers.system_of_type((2,) * (1 << 19))
+    previous = signal.signal(signal.SIGALRM, _hang)
+    signal.alarm(10)
+    try:
+        tagged = enumerate_compatible(canonical_partition(S, 2), 2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(tagged) * S.size == dynsys.MAX_POINTS
+    assert [(Q.offsets[:2], cid) for Q, cid in tagged] == [((0, 0), 0), ((1, 1), 0)]
 
 
 def test_factor_map_is_its_chain():

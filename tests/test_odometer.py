@@ -284,6 +284,25 @@ def test_truncations_and_cylinders_are_bounded():
     assert len(cylinder(BaseSequence((2, 4 * MAX_POINTS)), 1, 1)) == 2 * MAX_POINTS
 
 
+def test_truncate_refuses_an_int_past_the_conversion_limit():
+    # 10^5000 has more digits than Python converts to text: the refusal
+    # shows its bit length, and stays a DomainError
+    with pytest.raises(DomainError, match=r"^a truncation of <an int of 16610 bits> points"):
+        truncate(BaseSequence((10**5000,)), 1)
+
+
+def test_cylinder_refuses_an_int_past_the_conversion_limit():
+    big = BaseSequence((10**5000,))
+    with pytest.raises(
+        DomainError,
+        match=r"^residue <an int of 16610 bits> out of range for modulus <an int of 16610 bits>$",
+    ):
+        cylinder(big, 1, 10**5000)
+    with pytest.raises(DomainError, match=r"^residue <a negative int of 16610 bits> out"):
+        cylinder(big, 1, -(10**5000))
+    assert cylinder(big, 1, 3) == range(3, 10**5000, 10**5000)
+
+
 def test_level_partition_examples():
     base = BaseSequence((2, 4))
     Q = level_partition(base, 1)
