@@ -4,11 +4,10 @@ odometers, and factor maps between them."""
 from types import ModuleType as _Module
 
 from .dynsys import (
-    ChainReport,
     FinSystem,
     PartitionChain,
-    PartitionReport,
     PeriodicPartition,
+    Report,
     all_partitions,
     are_compatible,
     are_equivalent,

@@ -180,25 +180,16 @@ def format_cycles(S: FinSystem) -> str:
     return "".join("(" + " ".join(map(str, cyc)) + ")" for cyc in S.cycles)
 
 
-@dataclass
-class PartitionReport:
-    """Clause-by-clause check of the periodic-partition conditions; when
-    they all hold, partition is the partition the block list describes."""
+@dataclass(frozen=True)
+class Report:
+    """The verdict of validate_partition or validate_chain: the problems
+    found, in the order they are checked, and ok when there are none."""
 
-    clause_i: str  # clopenness — automatic on a finite discrete space
-    clause_ii: bool  # f(W_{i-1}) = W_i cyclically
-    clause_iii: bool  # pairwise disjoint
-    clause_iv: bool  # covers every point, no strays
-    blocks_nonempty: bool
     problems: tuple
-    partition: PeriodicPartition | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
-        return not self.problems  # each false clause names a problem
-
-
-_CLOPEN = "vacuous on a finite discrete space"
+        return not self.problems
 
 
 def _step_offsets(system: FinSystem, labels, m: int):
@@ -237,38 +228,44 @@ def _offsets(system: FinSystem, blocks: list):
     return _step_offsets(system, lab, m)
 
 
-def validate_partition(system: FinSystem, blocks) -> PartitionReport:
-    """Report which of the defining clauses a candidate block list satisfies.
-
-    A block list that is a partition is accepted by building its labeling
-    once and checking the step rule (see _offsets); only when that fails
-    are the clauses checked one by one, to name those that fail.  Clause
-    (i), clopenness, is vacuous on finite discrete spaces and is reported
-    as such rather than as a boolean.
-    """
+def _read_blocks(system: FinSystem, blocks):
+    """(partition, ()) if a block list from outside is a periodic partition
+    of system, else (None, problems).  The step rule (_offsets) accepts a
+    partition; only when it fails are the clauses checked one by one
+    (_clause_problems), and a list they accept, which lists a point twice
+    inside its block, is read again as sets."""
     blocks = list(map(tuple, blocks))
     offsets = _offsets(system, blocks)
     if offsets is None:
-        report = _clause_report(system, [frozenset(b) for b in blocks])
-        if not report.ok:
-            return report
-        # accepted with a point listed twice inside its block
-        offsets = _offsets(system, [tuple(frozenset(b)) for b in blocks])
-    return PartitionReport(
-        _CLOPEN, True, True, True, True, (), _trusted(system, len(blocks), offsets)
-    )
+        try:
+            sets = [frozenset(b) for b in blocks]
+        except TypeError:  # an unhashable id, which is no point id
+            return None, ("point ids out of range",)
+        problems = _clause_problems(system, sets)
+        if problems:
+            return None, problems
+        offsets = _offsets(system, list(map(tuple, sets)))
+    return _trusted(system, len(blocks), offsets), ()
 
 
-def _clause_report(system: FinSystem, blocks: list) -> PartitionReport:
+def validate_partition(system: FinSystem, blocks) -> Report:
+    """The problems of a candidate block list, each naming a clause it breaks:
+    "no blocks" and "block i is empty" (the blocks are nonempty), "point ids
+    out of range" (each id is an int point; an unhashable id names only
+    this), "blocks overlap" (iii), "blocks do not cover the space exactly"
+    (iv), then "f(W_i) != W_j", j = i + 1 mod m (ii), checked when every id
+    is a point.  Clause (i), clopenness, holds on a finite discrete space."""
+    return Report(_read_blocks(system, blocks)[1])
+
+
+def _clause_problems(system: FinSystem, blocks: list) -> tuple:
     """validate_partition's clause-by-clause check of a list of frozensets."""
     problems = []
 
-    nonempty = bool(blocks)
     if not blocks:
         problems.append("no blocks")
     for i, b in enumerate(blocks):
         if not b:
-            nonempty = False
             problems.append(f"block {i} is empty")
 
     n = system.size
@@ -277,31 +274,20 @@ def _clause_report(system: FinSystem, blocks: list) -> PartitionReport:
         problems.append("point ids out of range")
 
     total = sum(len(b) for b in blocks)
-    union = set().union(*blocks) if blocks else set()
-    disjoint = total == len(union)
-    if not disjoint:
+    union = set().union(*blocks)
+    if total != len(union):
         problems.append("blocks overlap")
 
-    covers = in_range and union == set(range(n))
-    if not covers:
+    if not (in_range and union == set(range(n))):
         problems.append("blocks do not cover the space exactly")
 
     m = len(blocks)
-    cyclic = bool(blocks) and in_range
-    if cyclic:
+    if blocks and in_range:
         for i in range(m):
             image = frozenset(map(system.forward.__getitem__, blocks[i]))
             if image != blocks[(i + 1) % m]:
-                cyclic = False
                 problems.append(f"f(W_{i}) != W_{(i + 1) % m}")
-    return PartitionReport(
-        _CLOPEN,
-        cyclic,
-        disjoint,
-        covers,
-        nonempty,
-        tuple(problems),
-    )
+    return tuple(problems)
 
 
 @dataclass(frozen=True)
@@ -336,11 +322,11 @@ class PeriodicPartition:
     @classmethod
     def from_blocks(cls, system: FinSystem, blocks) -> PeriodicPartition:
         """The partition with the given ordered block list, checked once
-        through validate_partition."""
-        report = validate_partition(system, blocks)
-        if not report.ok:
-            raise DomainError("not a periodic partition: " + "; ".join(report.problems))
-        return report.partition
+        as validate_partition checks it."""
+        P, problems = _read_blocks(system, blocks)
+        if problems:
+            raise DomainError("not a periodic partition: " + "; ".join(problems))
+        return P
 
     @cached_property
     def labels(self) -> tuple:
@@ -685,38 +671,16 @@ def refines(fine: PeriodicPartition, coarse: PeriodicPartition) -> bool:
     return fine.length % coarse.length == 0 and are_compatible(fine, coarse)
 
 
-@dataclass
-class ChainReport:
-    levels_valid: bool
-    lengths_divide: bool
-    consecutive_compatible: bool
-    pairwise_compatible: bool
-    blockwise_refinement: bool
-    problems: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems  # each false flag names a problem
-
-
-def validate_chain(system: FinSystem, levels) -> ChainReport:
+def validate_chain(system: FinSystem, levels) -> Report:
     """Check a raw list of block lists against every chain invariant."""
-    problems = []
-    parts = []
-    for i, blocks in enumerate(levels):
-        report = validate_partition(system, blocks)
-        if report.ok:
-            parts.append(report.partition)
-        else:
-            problems.append(f"level {i}: " + "; ".join(report.problems))
-    if not levels:
-        problems.append("empty chain")
-    if problems:
-        return ChainReport(False, False, False, False, False, tuple(problems))
-    return _chain_report(parts)
+    read = [_read_blocks(system, blocks) for blocks in levels]  # an iterator too
+    if not read:
+        return Report(("empty chain",))
+    problems = [f"level {i}: " + "; ".join(p) for i, (_, p) in enumerate(read) if p]
+    return Report(tuple(problems)) if problems else _chain_report([P for P, _ in read])
 
 
-def _chain_report(parts) -> ChainReport:
+def _chain_report(parts) -> Report:
     """validate_chain's report on levels that are partitions of one system."""
     pairs = list(zip(parts, parts[1:]))
     problems = [f"{A.length} does not divide {B.length}" for A, B in pairs if B.length % A.length]
@@ -733,11 +697,7 @@ def _chain_report(parts) -> ChainReport:
     problems += [f"levels {i} and {j} are incompatible" for i, j in distant]
     if divides:
         problems += [f"level {i + 1} does not refine level {i} blockwise" for i in incompatible]
-    consecutive = not incompatible
-    return ChainReport(
-        True, divides, consecutive, consecutive and not distant, divides and consecutive,
-        tuple(problems),
-    )
+    return Report(tuple(problems))
 
 
 def build_chain(S: FinSystem, lengths) -> PartitionChain:

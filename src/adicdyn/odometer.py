@@ -31,7 +31,7 @@ class AdicInt:
         if len(res) != self.base.depth:
             raise DomainError("residue count does not match the base depth")
         for a, n in zip(res, self.base.levels):
-            require_int(a, f"residue {{!r}} out of range for modulus {n}", 0, n)
+            _residue(a, n)
         for k in range(self.base.depth - 1):
             if res[k + 1] % self.base.levels[k] != res[k]:
                 raise DomainError(
@@ -41,6 +41,13 @@ class AdicInt:
 
     def __str__(self) -> str:
         return format_adic(self)
+
+
+def _residue(a, n: int) -> int:
+    """a, if it is a residue mod n; else a DomainError, its text built only then."""
+    if type(a) is not int or not 0 <= a < n:
+        require_int(a, f"residue {{!r}} out of range for modulus {quoted(n)}", 0, n)
+    return a
 
 
 def _same_base(x: AdicInt, y: AdicInt):
@@ -113,8 +120,7 @@ def cylinder(base: BaseSequence, j: int, x_j: int) -> range:
     """The level-j cylinder of residue x_j (j is 1-based): the points of the
     depth-K truncation, as integers mod n_K, whose residue mod n_j is x_j."""
     n_j = _level(base, j)
-    require_int(x_j, f"residue {{}} out of range for modulus {quoted(n_j)}", 0, n_j)
-    return range(x_j, base.levels[-1], n_j)
+    return range(_residue(x_j, n_j), base.levels[-1], n_j)
 
 
 def truncate(base: BaseSequence, k: int) -> FinSystem:

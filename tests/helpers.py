@@ -23,8 +23,8 @@ from adicdyn import (
     DomainError,
     FinSystem,
     PartitionChain,
-    PartitionReport,
     PeriodicPartition,
+    Report,
     are_compatible,
     build_factor_map,
     canonical_partition,
@@ -134,16 +134,14 @@ def make_compatible_reference(P1, m2):
 
 def validate_partition_reference(system, blocks):
     """validate_partition clause by clause on frozensets, as it was before
-    its one-pass accept: the texts and flags every report must match."""
+    its one-pass accept: the report every answer must match."""
     blocks = [frozenset(b) for b in blocks]
     problems = []
 
-    nonempty = bool(blocks)
     if not blocks:
         problems.append("no blocks")
     for i, b in enumerate(blocks):
         if not b:
-            nonempty = False
             problems.append(f"block {i} is empty")
 
     n = system.size
@@ -162,21 +160,12 @@ def validate_partition_reference(system, blocks):
         problems.append("blocks do not cover the space exactly")
 
     m = len(blocks)
-    cyclic = bool(blocks) and in_range
-    if cyclic:
+    if blocks and in_range:
         for i in range(m):
             image = frozenset(map(system.forward.__getitem__, blocks[i]))
             if image != blocks[(i + 1) % m]:
-                cyclic = False
                 problems.append(f"f(W_{i}) != W_{(i + 1) % m}")
-    return PartitionReport(
-        "vacuous on a finite discrete space",
-        cyclic,
-        disjoint,
-        covers,
-        nonempty,
-        tuple(problems),
-    )
+    return Report(tuple(problems))
 
 
 def _rotation_key(P):

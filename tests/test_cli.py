@@ -152,6 +152,8 @@ def test_usage_errors_and_echoed_inputs_are_cut(capsys):
     cut_spaced = f"'{spaced[:50]}'... (5000 characters)"
     cut_1 = f"'{ones[:50]}'... (4000 characters)"
     minus_1 = f"'-{ones[:49]}'... (4001 characters)"
+    cut_1_4001 = f"'{ones[:50]}'... (4001 characters)"
+    cut_11 = f"'{ones[:50]}'... (4002 characters)"
     prime = _undecidable_prime()
     cases = [
         (("ess", "(0 1)", x), 2, f"unrecognized arguments: {cut_x}"),
@@ -171,6 +173,8 @@ def test_usage_errors_and_echoed_inputs_are_cut(capsys):
         (("odo", "truncate", ones, "1"), 1, f"a truncation of {cut_1} points"),
         (("odo", "cylinder", f"2,{twos}", "1", "0"), 1, f"a cylinder of {cut_1} points"),
         (("odo", "neg", f"2,{twos}", f"[0,{ones}]"), 2, f"level 1: {cut_1} mod 2 != 0"),
+        (("odo", "add", "1" + ones, f"[11{ones}]", "[0]"), 2,
+         f"residue {cut_11} out of range for modulus {cut_1_4001}"),
     ]
     for argv, want_code, message in cases:
         code, out, err = invoke(capsys, *argv)

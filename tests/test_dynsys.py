@@ -1,6 +1,7 @@
 """Periodic partitions: oracle, compatibility calculus, chains, return times."""
 
 import itertools
+import re
 from math import gcd, lcm
 
 import pytest
@@ -168,8 +169,7 @@ def test_fin_system_matches_the_permutation_definition():
 def test_validate_trivial():
     S = helpers.system_of_type((6,))
     rep = validate_partition(S, [list(range(6))])
-    assert rep.ok
-    assert "vacuous" in rep.clause_i
+    assert rep.ok and rep.problems == ()
 
 
 def test_validate_even_odd_six_cycle():
@@ -181,14 +181,14 @@ def test_validate_cover_failure():
     S = helpers.system_of_type((3,))
     rep = validate_partition(S, [[0], [2]])
     assert not rep.ok
-    assert not rep.clause_iv
+    assert "blocks do not cover the space exactly" in rep.problems
 
 
 def test_validate_cycle_failure():
     S = helpers.system_of_type((4,))
     rep = validate_partition(S, [[0, 1], [2, 3]])
     assert not rep.ok
-    assert not rep.clause_ii
+    assert rep.problems == ("f(W_0) != W_1", "f(W_1) != W_0")
 
 
 def test_labeling_check_matches_clause_check():
@@ -327,13 +327,13 @@ def test_oracle_validates_each_candidate_once(monkeypatch):
     from adicdyn import dynsys
 
     calls = []
-    real = dynsys.validate_partition
+    real = dynsys._read_blocks
 
     def counting(system, blocks):
         calls.append(1)
         return real(system, blocks)
 
-    monkeypatch.setattr(dynsys, "validate_partition", counting)
+    monkeypatch.setattr(dynsys, "_read_blocks", counting)
     found = all_partitions(helpers.system_of_type((4, 4, 4)), 4)
     assert len(found) == 64
     assert len(calls) == 64
@@ -344,6 +344,18 @@ def test_from_blocks_refuses_boolean_point_ids():
     with pytest.raises(DomainError, match="point ids out of range"):
         P(S, [0, 2], [True, 3])
     assert "point ids out of range" in validate_partition(S, [[0, 2], [True, 3]]).problems
+
+
+def test_unhashable_point_ids_are_out_of_range():
+    # an id no set can hold is no point: reported as such, not a TypeError
+    S = helpers.system_of_type((2,))
+    for blocks in ([[[0]], [1]], [[{}], [1]], [[0], [([1],)]]):
+        assert validate_partition(S, blocks).problems == ("point ids out of range",)
+        with pytest.raises(DomainError, match="^not a periodic partition: point ids out of range$"):
+            P(S, *blocks)
+        assert validate_chain(S, [[[0, 1]], blocks]).problems == (
+            "level 1: point ids out of range",
+        )
 
 
 def _corrupted_levels(S, blocks, rng):
@@ -378,14 +390,10 @@ def _corrupted_levels(S, blocks, rng):
     return out
 
 
-def _report_fields(r):
-    return (r.clause_i, r.clause_ii, r.clause_iii, r.clause_iv, r.blocks_nonempty, r.problems)
-
-
 def test_validate_partition_matches_the_clause_check():
     # the one-pass accept gives the report of the clause-by-clause check,
-    # field by field, valid or not, with blocks as lists or generators;
-    # an accepted report carries the partition the blocks describe
+    # valid or not, with blocks as lists or generators; from_blocks builds
+    # the partition an accepted list describes, and refuses the others
     rng = helpers.seeded(613)
     systems = [S for S, _small in cross_check_systems()]
     for _ in range(200):
@@ -400,13 +408,15 @@ def test_validate_partition_matches_the_clause_check():
             for name, blocks in _corrupted_levels(S, blocks_json(Q), rng):
                 want = helpers.validate_partition_reference(S, blocks)
                 for given in (blocks, (iter(b) for b in blocks)):
-                    got = validate_partition(S, given)
-                    assert _report_fields(got) == _report_fields(want), name
-                    if got.ok:
-                        assert blocks_json(got.partition) == [sorted(set(b)) for b in blocks]
-                        assert got.partition == helpers.rebuilt_from_labels(got.partition)
-                    else:
-                        assert got.partition is None
+                    assert validate_partition(S, given) == want, name
+                if want.ok:
+                    R = PeriodicPartition.from_blocks(S, (iter(b) for b in blocks))
+                    assert blocks_json(R) == [sorted(set(b)) for b in blocks]
+                    assert R == helpers.rebuilt_from_labels(R)
+                else:
+                    message = "not a periodic partition: " + "; ".join(want.problems)
+                    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                        PeriodicPartition.from_blocks(S, blocks)
                 seen.add((name, want.ok))
     assert {("valid", True), ("repeated", True), ("shifted", True)} <= seen
     failing = ["moved", "swapped", "missing", "replaced", "id n", "id -1", "id True",
@@ -937,7 +947,11 @@ def test_validate_chain_reports():
     bad = [[[0], [1], [2], [3]], [[0, 2], [1, 3]]]
     rep = validate_chain(S, bad)
     assert not rep.ok
-    assert not rep.lengths_divide
+    assert "4 does not divide 2" in rep.problems
+    # the levels may come as any iterable, read once: none is an empty chain
+    assert validate_chain(S, iter(good)).ok
+    for empty in ([], (), iter([]), (lv for lv in [])):
+        assert validate_chain(S, empty).problems == ("empty chain",)
 
 
 def test_chain_constructor_refuses_with_validate_chains_first_problem():
@@ -1150,7 +1164,8 @@ def test_label_offset_and_refinement_match_their_definitions():
             A, B = sorted((P1, P2), key=lambda P: P.length)
             if B.length % A.length == 0:
                 rep = validate_chain(S, [blocks_json(A), blocks_json(B)])
-                assert rep.blockwise_refinement == refines(B.labels, A.labels)
+                refined = "level 1 does not refine level 0 blockwise" not in rep.problems
+                assert refined == refines(B.labels, A.labels)
 
 
 def test_enumerate_compatible_order_is_the_block_list_order():

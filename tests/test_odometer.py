@@ -303,6 +303,32 @@ def test_cylinder_refuses_an_int_past_the_conversion_limit():
     assert cylinder(big, 1, 3) == range(3, 10**5000, 10**5000)
 
 
+def test_cylinder_quotes_its_modulus_only_on_refusal(monkeypatch):
+    # the refusal text is built when a residue is refused, not on every call
+    from adicdyn import odometer
+
+    def refused(value):
+        raise AssertionError("quoted() called on an answered call")
+
+    monkeypatch.setattr(odometer, "quoted", refused)
+    assert cylinder(BaseSequence((10**4000,)), 1, 3) == range(3, 10**4000, 10**4000)
+    assert AdicInt(BaseSequence((2, 10**4000)), (1, 3)).residues == (1, 3)
+
+
+def test_adic_int_takes_a_modulus_past_the_conversion_limit():
+    # a valid vector is answered whatever its modulus; an invalid one is
+    # refused as a DomainError that shows the modulus by its bit length
+    big = BaseSequence((10**5000,))
+    assert AdicInt(big, (3,)).residues == (3,)
+    with pytest.raises(
+        DomainError,
+        match=r"^residue <an int of 16610 bits> out of range for modulus <an int of 16610 bits>$",
+    ):
+        AdicInt(big, (10**5000,))
+    with pytest.raises(DomainError, match=r"^residue 'a' out of range for modulus <an int of"):
+        AdicInt(big, ("a",))
+
+
 def test_level_partition_examples():
     base = BaseSequence((2, 4))
     Q = level_partition(base, 1)
